@@ -1,12 +1,12 @@
 """Poisson matrix factorization for implicit-feedback count data.
 
 Factorizes a sparse user-item count matrix as X ~ Poisson(A B^T) with
-nonnegative factors under an identity link, using alternating per-row
-updates. The likelihood contribution of the zero entries collapses to a dot
-product of factor column sums, so training cost scales with the stored
-entries, never with m*n. Per-vector updates are either closed-form proximal
-gradient steps or a nonnegative conjugate-gradient solver, and the package
-ships data ingestion, a ranking evaluator, and a command-line interface.
+nonnegative factors under an identity link, using alternating updates of
+the two factor matrices. The likelihood contribution of the zero entries
+collapses to a dot product of factor column sums, so training cost scales
+with the stored entries, never with m*n. Updates are either closed-form
+proximal gradient steps or a per-row nonnegative conjugate-gradient solver,
+and the package ships data ingestion, a ranking evaluator, and a CLI.
 """
 
 from .cli import (
@@ -64,7 +64,6 @@ from .sparse_data import (
 )
 from .trainer import (
     FactorModel,
-    IterationWorkspace,
     TrainConfig,
     TrainReport,
     init_factors,
@@ -127,7 +126,6 @@ __all__ = [
     "split_train_test",
     "write_triplet_file",
     "FactorModel",
-    "IterationWorkspace",
     "TrainConfig",
     "TrainReport",
     "init_factors",

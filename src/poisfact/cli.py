@@ -153,8 +153,10 @@ def recommend_for_user(
 
     Items from the user's training history never appear. Ties are broken by
     ascending item index; asking for more items than are eligible returns
-    them all.
+    them all. A ``top_n`` below 1 raises ConfigError.
     """
+    if top_n < 1:
+        raise ConfigError(f"top-n must be >= 1, got {top_n}")
     u = id_map.user_index(user_token)
     scores = score_user(model, u)
     eligible = np.ones(model.n, dtype=bool)
@@ -330,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=(PROXGRAD, CONJGRAD), default=PROXGRAD)
     p.add_argument("--reg", choices=("l2", "l1"), default="l2")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="workers for the per-row updates of --solver cg")
     p.add_argument("--export-text", metavar="PATH", help="also dump factors as text")
     p.add_argument("--quiet", action="store_true", help="suppress the per-iteration trace")
     _add_format_flags(p)

@@ -9,6 +9,7 @@ test Poisson log-likelihood) pool the entire test set, not the sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,12 @@ class EvalConfig:
 
 @dataclass
 class EvalReport:
-    """Evaluation outcome; user counts satisfy evaluated + skipped = sampled."""
+    """Evaluation outcome; user counts satisfy evaluated + skipped = sampled.
+
+    ``pearson_rho`` is NaN when the predictions or the held-out counts do not
+    vary (binary data has every count 1); the text form prints ``nan`` and
+    the record holds None.
+    """
 
     p_at_k: float
     auc: float
@@ -64,7 +70,7 @@ class EvalReport:
         return {
             "p_at_k": self.p_at_k,
             "auc": self.auc,
-            "pearson_rho": self.pearson_rho,
+            "pearson_rho": None if math.isnan(self.pearson_rho) else self.pearson_rho,
             "test_loglik": self.test_loglik,
             "users_evaluated": self.users_evaluated,
             "users_skipped": self.users_skipped,
@@ -156,7 +162,7 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
     users (all of them when the sample size covers the population, each
     exactly once); users without an eligible positive or negative item are
     skipped and counted. Correlation and log-likelihood always use the whole
-    test set.
+    test set; the correlation is NaN when predictions or counts do not vary.
     """
     if not split.test:
         raise EvaluationError("no test entries to evaluate")
@@ -167,7 +173,10 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
         )
     users, items, counts = _test_arrays(split.test)
     predictions = np.einsum("ij,ij->i", model.A[users], model.B[items])
-    rho = pearson_rho(predictions, counts)
+    try:
+        rho = pearson_rho(predictions, counts)
+    except EvaluationError:  # zero variance: undefined, but p@k and AUC are not
+        rho = math.nan
     loglik = test_loglik(model, split.test)
 
     test_users = np.unique(users)

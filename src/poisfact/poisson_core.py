@@ -1,4 +1,4 @@
-"""Poisson loss, per-vector gradients, proximal operators, and the full objective.
+"""Poisson loss, gradients, proximal operators, entry dots and the full objective.
 
 The model predicts each count x_ui by the dot product of nonnegative factor
 rows a_u and b_i under an identity link. The negative log-likelihood of one
@@ -25,9 +25,10 @@ from .sparse_data import SparseInteractions
 # events is surfaced through ClampStats so silent degradation stays visible.
 DOT_FLOOR = 1e-12
 
-# Chunk length for streaming over stored entries in full_objective; bounds the
-# temporary gather arrays at CHUNK x k while keeping accumulation order fixed.
-_CHUNK = 1 << 18
+# Entries per chunk in entry_dots, sized so the gathered blocks stay in cache:
+# on a 2-vCPU VM, 255k entries at k=20 took 34 ms in 8192-entry chunks and
+# 76 ms in 2^15; 2048 and 4096 were no faster.
+_CHUNK = 1 << 13
 
 
 @dataclass
@@ -74,6 +75,16 @@ class RegressionView:
     s: np.ndarray
 
 
+def _floor_dots(dots: np.ndarray, stats: ClampStats | None) -> np.ndarray:
+    """Raise dots below DOT_FLOOR to it in place, counting the clamps."""
+    low = int((dots < DOT_FLOOR).sum())
+    if low:
+        np.maximum(dots, DOT_FLOOR, out=dots)
+        if stats is not None:
+            stats.bump(low)
+    return dots
+
+
 def _penalty(x: np.ndarray, reg: RegularizationSpec) -> float:
     if reg.lam == 0.0:
         return 0.0
@@ -114,11 +125,7 @@ def objective_vector(
         return value
     dots = view.rows @ x
     if clamp:
-        low = int((dots < DOT_FLOOR).sum())
-        if low:
-            dots = np.maximum(dots, DOT_FLOOR)
-            if stats is not None:
-                stats.bump(low)
+        _floor_dots(dots, stats)
     elif dots.min() <= 0.0:
         raise ValueError("nonpositive dot product with a positive count; objective undefined")
     return value - float(view.counts @ np.log(dots))
@@ -134,12 +141,7 @@ def gradient_vector(view: RegressionView, stats: ClampStats | None = None) -> np
     """
     if len(view.counts) == 0:
         return np.zeros_like(view.x)
-    dots = view.rows @ view.x
-    low = int((dots < DOT_FLOOR).sum())
-    if low:
-        dots = np.maximum(dots, DOT_FLOOR)
-        if stats is not None:
-            stats.bump(low)
+    dots = _floor_dots(view.rows @ view.x, stats)
     return -((view.counts / dots) @ view.rows)
 
 
@@ -175,12 +177,35 @@ def prox_operator(
     return prox_l1(x, alpha, s, reg.lam)
 
 
+def entry_dots(
+    P: np.ndarray,
+    Q: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    stats: ClampStats | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Dots P[rows[j]] . Q[cols[j]] of the listed entries, floored at DOT_FLOOR.
+
+    Summed as (P[rows] * Q[cols]).sum(axis=1) in chunks, so each value's bits
+    depend only on its two rows. Clamps are counted into ``stats``; ``out``
+    (float64, one slot per entry) receives the result when given.
+    """
+    if out is None:
+        out = np.empty(len(rows))
+    for lo in range(0, len(rows), _CHUNK):
+        hi = lo + _CHUNK
+        np.sum(P[rows[lo:hi]] * Q[cols[lo:hi]], axis=1, out=out[lo:hi])
+    return _floor_dots(out, stats)
+
+
 def full_objective(
     data: SparseInteractions,
     A: np.ndarray,
     B: np.ndarray,
     reg: RegularizationSpec,
     stats: ClampStats | None = None,
+    dots_out: np.ndarray | None = None,
 ) -> float:
     """Training objective over the whole matrix in O(nnz*k + (m+n)*k) time.
 
@@ -188,22 +213,14 @@ def full_objective(
     s_A, s_B the column sums of A and B. The first term equals the sum of all
     m*n predicted values, so zero entries are never enumerated. The penalty
     is lam*(||A||_F^2 + ||B||_F^2) for l2 and lam*(||A||_1 + ||B||_1) for l1.
-    Accumulation runs in a fixed row-major chunk order, so the result is
-    reproducible bit for bit.
+    ``dots_out`` (length nnz) receives the floored dots in row-major order.
+    Accumulation order is fixed, so the result is reproducible bit for bit.
     """
     s_a = A.sum(axis=0)
     s_b = B.sum(axis=0)
     total = float(s_a @ s_b)
     users, items, counts = data.entries()
-    for lo in range(0, data.nnz, _CHUNK):
-        hi = min(lo + _CHUNK, data.nnz)
-        dots = np.einsum("ij,ij->i", A[users[lo:hi]], B[items[lo:hi]])
-        low = int((dots < DOT_FLOOR).sum())
-        if low:
-            dots = np.maximum(dots, DOT_FLOOR)
-            if stats is not None:
-                stats.bump(low)
-        total -= float(counts[lo:hi] @ np.log(dots))
+    total -= float(counts @ np.log(entry_dots(A, B, users, items, stats, out=dots_out)))
     if reg.lam != 0.0:
         if reg.kind == "l2":
             total += reg.lam * (float((A * A).sum()) + float((B * B).sum()))

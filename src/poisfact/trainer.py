@@ -1,4 +1,4 @@
-"""Alternating per-row training of the two factor matrices.
+"""Alternating training of the two factor matrices.
 
 Each outer iteration freezes the item matrix, refreshes its column-sum vector,
 updates every user row from that user's nonzero entries alone, then does the
@@ -8,8 +8,10 @@ O(nnz*k*tau + (m+n)*k) regardless of how large m*n grows.
 
 Row updates within a half-iteration are independent: each reads the frozen
 other matrix, the shared sum vector, and its own row, and writes only its own
-row. They are dispatched in fixed blocks of consecutive rows, so the result
-is bit-identical for any worker count.
+row. The proximal-gradient solver updates a whole matrix in one call, its
+first user step reusing the dots of the previous objective. CG runs per row
+in fixed blocks over ``threads`` workers. Results are bit-identical run to
+run, and for CG across worker counts.
 """
 
 from __future__ import annotations
@@ -23,19 +25,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateModelError, NumericFailureError
-from .poisson_core import (
-    ClampStats,
-    RegularizationSpec,
-    RegressionView,
-    full_objective,
-    prox_operator,
-)
+from .poisson_core import ClampStats, RegressionView, RegularizationSpec, full_objective
 from .sparse_data import SparseInteractions
-from .vector_solvers import PROXGRAD, SolverChoice, apply_solver
+from .vector_solvers import PROXGRAD, SolverChoice, apply_solver, prox_grad_matrix
 
 _log = logging.getLogger(__name__)
 
-# Rows are dispatched to workers in fixed blocks of this many consecutive
+# CG rows are dispatched to workers in fixed blocks of this many consecutive
 # rows; the partition depends only on the data, never on the worker count.
 BLOCK_ROWS = 64
 
@@ -50,6 +46,8 @@ class TrainConfig:
     regularization with a tiny initial step that halves every iteration. The
     conjugate-gradient solver ignores ``alpha`` (it line-searches) and is
     typically run with little or no regularization and more iterations.
+    ``threads`` is the number of workers for the CG per-row updates; the
+    proximal-gradient solver updates whole matrices and ignores it.
     """
 
     k: int = 40
@@ -105,22 +103,6 @@ class FactorModel:
 
 
 @dataclass
-class IterationWorkspace:
-    """Scratch state carried across the half-iterations of one run.
-
-    The sum vectors are recomputed from scratch at the head of each
-    half-iteration, so they always equal the true column sums when row
-    updates begin.
-    """
-
-    s_a: np.ndarray | None = None
-    s_b: np.ndarray | None = None
-    clamp_events: int = 0
-    objective_trace: list[float] = field(default_factory=list)
-    iteration_seconds: list[float] = field(default_factory=list)
-
-
-@dataclass
 class TrainReport:
     """Outcome diagnostics of a completed training run."""
 
@@ -155,22 +137,17 @@ def training_objective(
     return full_objective(data, model.A, model.B, reg)
 
 
-def _blocks(rows: np.ndarray) -> list[np.ndarray]:
-    return [rows[lo : lo + BLOCK_ROWS] for lo in range(0, len(rows), BLOCK_ROWS)]
-
-
 def _update_rows(
     target: np.ndarray,
     csx,
     fixed: np.ndarray,
     s: np.ndarray,
-    blocks: list[np.ndarray],
     alpha: float,
     reg: RegularizationSpec,
     choice: SolverChoice,
     pool: ThreadPoolExecutor | None,
 ) -> int:
-    """Update the listed rows of ``target`` in place; returns clamp events.
+    """Update every row of ``target`` in place; returns clamp events.
 
     Every row update reads only frozen state (the fixed matrix, the sum
     vector, its own current row) and writes its own row, so blocks may run
@@ -178,6 +155,7 @@ def _update_rows(
     order, keeping totals and failure reports independent of scheduling.
     """
     indptr, indices, values = csx.indptr, csx.indices, csx.data
+    blocks = np.split(np.arange(len(target)), range(BLOCK_ROWS, len(target), BLOCK_ROWS))
 
     def run_block(rows: np.ndarray) -> int:
         stats = ClampStats()
@@ -197,28 +175,10 @@ def _update_rows(
     return sum(f.result() for f in futures)
 
 
-def _shrink_empty_rows(
-    target: np.ndarray,
-    empty: np.ndarray,
-    alpha: float,
-    s: np.ndarray,
-    reg: RegularizationSpec,
-    tau: int,
-) -> None:
-    # Rows with no entries see a zero gradient, so their update is the bare
-    # prox shrink; one vectorized application per inner step is bit-identical
-    # to the per-row operation and keeps cold rows off the Python loop.
-    if len(empty) == 0:
-        return
-    block = target[empty]
-    for _ in range(tau):
-        block = prox_operator(block, alpha, s, reg)
-    target[empty] = block
-
-
 def _check_finite(matrix: np.ndarray, side: str) -> None:
-    if not np.isfinite(matrix).all():
-        raise NumericFailureError(f"non-finite factors after the {side} half-iteration")
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if len(bad):
+        raise NumericFailureError(f"non-finite factors in {side} row {bad[0]}")
 
 
 def train(
@@ -226,20 +186,21 @@ def train(
     config: TrainConfig,
     progress: ProgressHook | None = None,
 ) -> tuple[FactorModel, TrainReport]:
-    """Run the alternating per-row optimization for config.iters iterations.
+    """Run the alternating optimization for config.iters iterations.
 
     Each iteration recomputes the item-matrix column sums, updates all user
-    rows with the configured per-vector solver, recomputes the user-matrix
-    column sums, updates all item rows, and (for the proximal-gradient
-    solver) halves the step size. The training objective is recorded after
+    rows with the configured solver, recomputes the user-matrix column sums,
+    updates all item rows, and (for the proximal-gradient solver) halves the
+    step size. The training objective is recorded after
     every iteration; ``progress`` is then invoked with (iteration, objective,
     seconds).
 
     Raises
     ------
     NumericFailureError
-        When non-finite factors appear; the message names the iteration. No
-        partially trained model is returned.
+        When non-finite factors appear; the message names the iteration, the
+        half and the first non-finite row. No partially trained model is
+        returned.
     DegenerateModelError
         When training ends with an entirely zero factor matrix.
     """
@@ -248,49 +209,41 @@ def train(
     model = init_factors(data.m, data.n, config.k, config.seed)
     reg = config.regularization
     choice = config.solver
-    ws = IterationWorkspace()
     alpha = config.alpha
+    clamps = ClampStats()
+    objective_trace: list[float] = []
+    iteration_seconds: list[float] = []
 
     proxgrad = choice.method == PROXGRAD
-    if proxgrad:
-        # Only rows with entries need the per-row solver; empty rows take the
-        # vectorized shrink path.
-        user_rows = np.flatnonzero(data.row_degrees > 0)
-        user_empty = np.flatnonzero(data.row_degrees == 0)
-        item_rows = np.flatnonzero(data.col_degrees > 0)
-        item_empty = np.flatnonzero(data.col_degrees == 0)
-    else:
-        user_rows = np.arange(data.m)
-        user_empty = np.empty(0, dtype=np.int64)
-        item_rows = np.arange(data.n)
-        item_empty = np.empty(0, dtype=np.int64)
-    user_blocks = _blocks(user_rows)
-    item_blocks = _blocks(item_rows)
+    by_user, by_item = data.csr, data.csc.T  # the counts as CSR, by user and by item
+    # Floored dots of (A, B) in row-major entry order: the objective fills them,
+    # the next proximal-gradient user step reads them and recounts their clamps.
+    dots = np.empty(data.nnz) if proxgrad else None
+    reused, reused_clamps = None, 0
 
     _log.info(
         "training %d x %d (nnz=%d) with k=%d solver=%s for %d iterations",
         data.m, data.n, data.nnz, config.k, choice.method, config.iters,
     )
 
+    # Workers start on the first CG submit; the proximal-gradient path submits none.
     pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
+
+    def half(X, fixed, counts, alpha, reused=None):
+        s = fixed.sum(axis=0)
+        if proxgrad:
+            return prox_grad_matrix(counts, X, fixed, s, alpha, reg, choice.tau, clamps, reused)
+        clamps.bump(_update_rows(X, counts, fixed, s, alpha, reg, choice, pool))
+        return X
+
     try:
         for t in range(config.iters):
             started = time.perf_counter()
             try:
-                ws.s_b = model.B.sum(axis=0)
-                ws.clamp_events += _update_rows(
-                    model.A, data.csr, model.B, ws.s_b, user_blocks, alpha, reg, choice, pool
-                )
-                if proxgrad:
-                    _shrink_empty_rows(model.A, user_empty, alpha, ws.s_b, reg, choice.tau)
+                clamps.bump(reused_clamps)
+                model.A = half(model.A, model.B, by_user, alpha, reused)
                 _check_finite(model.A, "user")
-
-                ws.s_a = model.A.sum(axis=0)
-                ws.clamp_events += _update_rows(
-                    model.B, data.csc, model.A, ws.s_a, item_blocks, alpha, reg, choice, pool
-                )
-                if proxgrad:
-                    _shrink_empty_rows(model.B, item_empty, alpha, ws.s_a, reg, choice.tau)
+                model.B = half(model.B, model.A, by_item, alpha)
                 _check_finite(model.B, "item")
             except NumericFailureError as exc:
                 raise NumericFailureError(
@@ -298,15 +251,14 @@ def train(
                     "try a smaller step size (alpha) or stronger regularization (lambda)"
                 ) from exc
 
+            before = clamps.clamped
+            objective = full_objective(data, model.A, model.B, reg, clamps, dots_out=dots)
             if proxgrad:
                 alpha *= 0.5
-
-            stats = ClampStats()
-            objective = full_objective(data, model.A, model.B, reg, stats=stats)
-            ws.clamp_events += stats.clamped
+                reused, reused_clamps = dots, clamps.clamped - before
             elapsed = time.perf_counter() - started
-            ws.objective_trace.append(objective)
-            ws.iteration_seconds.append(elapsed)
+            objective_trace.append(objective)
+            iteration_seconds.append(elapsed)
             _log.debug("iteration %d objective %.6e (%.2fs)", t, objective, elapsed)
             if progress is not None:
                 progress(t, objective, elapsed)
@@ -326,11 +278,11 @@ def train(
     zero_b = int(((model.B == 0).all(axis=1) & (data.col_degrees > 0)).sum())
     report = TrainReport(
         iterations=config.iters,
-        final_objective=ws.objective_trace[-1],
-        objective_trace=list(ws.objective_trace),
-        clamp_events=ws.clamp_events,
+        final_objective=objective_trace[-1],
+        objective_trace=objective_trace,
+        clamp_events=clamps.clamped,
         zero_rows_a=zero_a,
         zero_rows_b=zero_b,
-        iteration_seconds=list(ws.iteration_seconds),
+        iteration_seconds=iteration_seconds,
     )
     return model, report

@@ -1,10 +1,11 @@
-"""Per-vector update rules: proximal-gradient steps and a nonnegative CG solver.
+"""Update rules: proximal-gradient steps and a nonnegative CG solver.
 
-Both solvers advance one factor row at a time against a frozen view of the
-other matrix. The proximal-gradient update is the workhorse inside the
-alternating trainer; the conjugate-gradient alternative optimizes the same
-per-vector objective jointly (linear term and penalty included) and tolerates
-little or no regularization at the cost of line searches.
+Both advance factor rows against a frozen view of the other matrix. The
+proximal-gradient step, the trainer's workhorse, updates a whole matrix at
+once: the smooth gradient of all user rows is -R B, R the counts divided by
+A B^T at the stored entries. The conjugate-gradient alternative works per
+row on the full per-vector objective and tolerates little or no
+regularization at the cost of line searches.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, NumericFailureError
 from .poisson_core import (
     ClampStats,
     RegressionView,
     RegularizationSpec,
+    entry_dots,
     gradient_vector,
     objective_vector,
     prox_operator,
@@ -66,6 +69,36 @@ def _nonfinite(what: str, index: int | None) -> NumericFailureError:
     return NumericFailureError(f"non-finite {what} update{where}")
 
 
+def prox_grad_matrix(
+    counts: sp.csr_matrix,
+    X: np.ndarray,
+    fixed: np.ndarray,
+    s: np.ndarray,
+    alpha: float,
+    reg: RegularizationSpec,
+    tau: int = 1,
+    stats: ClampStats | None = None,
+    dots: np.ndarray | None = None,
+) -> np.ndarray:
+    """Apply tau proximal-gradient steps to every row of X at once.
+
+    ``counts`` (rows of X by rows of ``fixed``) divided by the entries' dots,
+    times ``fixed``, is the negated gradient; empty rows get exactly zero.
+    Each row sums its own entries in stored order, so it gets the same bits
+    as when updated alone (prox_grad_update). ``dots`` are the first step's
+    floored dots if known, their clamps the caller's to count.
+    """
+    if alpha <= 0:
+        raise ValueError(f"step size must be positive, got {alpha}")
+    rows = np.repeat(np.arange(X.shape[0]), np.diff(counts.indptr))
+    for step in range(tau):
+        if step or dots is None:
+            dots = entry_dots(X, fixed, rows, counts.indices, stats)
+        ratio = sp.csr_matrix((counts.data / dots, counts.indices, counts.indptr), counts.shape)
+        X = prox_operator(X + alpha * (ratio @ fixed), alpha, s, reg)
+    return X
+
+
 def prox_grad_update(
     x: np.ndarray,
     view: RegressionView,
@@ -87,11 +120,9 @@ def prox_grad_update(
         If the result is not finite; the message carries ``index`` when the
         caller supplies the row being updated.
     """
-    if alpha <= 0:
-        raise ValueError(f"step size must be positive, got {alpha}")
-    for _ in range(tau):
-        g = gradient_vector(replace(view, x=x), stats=stats)
-        x = prox_operator(x - alpha * g, alpha, view.s, reg)
+    q = len(view.counts)
+    counts = sp.csr_matrix((view.counts, np.arange(q), [0, q]), shape=(1, q))
+    x = prox_grad_matrix(counts, x[None, :], view.rows, view.s, alpha, reg, tau, stats)[0]
     if not np.isfinite(x).all():
         raise _nonfinite("proximal-gradient", index)
     return x

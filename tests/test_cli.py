@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from poisfact import (
+    ConfigError,
     EvalConfig,
     FactorModel,
     ModelMeta,
@@ -23,6 +24,7 @@ from poisfact import (
     load_model,
     main,
     read_triplet_file,
+    recommend_for_user,
     save_model,
     train,
 )
@@ -347,6 +349,30 @@ def test_recommend_unknown_user_exits_5(workspace, capsys):
     code = main(["recommend", str(model_path), str(train_file), "ghost"])
     assert code == 5
     assert "unknown user id 'ghost'" in capsys.readouterr().err
+
+
+def test_recommend_for_user_rejects_nonpositive_top_n(workspace):
+    model_path = workspace / "model.bin"
+    train_file = workspace / "out" / "train.csv"
+    assert main(train_args(train_file, model_path)) == 0
+    model, _ = load_model(str(model_path))
+    data, id_map = build_interactions(read_triplet_file(str(train_file)))
+    for top_n in (0, -2):
+        with pytest.raises(ConfigError, match="top-n"):
+            recommend_for_user(model, data, id_map, "user3", top_n)
+    assert len(recommend_for_user(model, data, id_map, "user3", 1).items) == 1
+
+
+def test_recommend_negative_top_n_exits_2(workspace, capsys):
+    model_path = workspace / "model.bin"
+    train_file = workspace / "out" / "train.csv"
+    assert main(train_args(train_file, model_path)) == 0
+    capsys.readouterr()
+    code = main(["recommend", str(model_path), str(train_file), "user3", "--top-n", "-2"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "top-n must be >= 1, got -2" in out.err
 
 
 # ---------------------------------------------------------------- formats

@@ -344,6 +344,28 @@ def test_evaluate_all_users_skipped():
         evaluate(model, split)
 
 
+def test_evaluate_binary_counts_reports_nan_correlation():
+    # implicit feedback with every count 1: the correlation is undefined,
+    # precision and AUC are not
+    rng = np.random.default_rng(68)
+    X = rng.random((40, 25)) < 0.35
+    users, items = np.nonzero(X)
+    data = SparseInteractions.from_entries(users, items, np.ones(len(users)), 40, 25)
+    split = split_train_test(data, 0.3, 2, seed=4)
+    assert {x for _, _, x in split.test} == {1.0}
+    model, _ = train(data=split.train, config=TrainConfig(k=3, alpha=1e-2, lam=5.0, iters=3, seed=1))
+    report = evaluate(model, split, EvalConfig(cutoff=3, sample_users=1000, seed=0))
+    assert math.isnan(report.pearson_rho)
+    assert report.users_evaluated > 0
+    assert 0.0 <= report.p_at_k <= 1.0 and 0.0 <= report.auc <= 1.0
+    assert np.isfinite(report.test_loglik)
+    assert "pearson_rho nan\n" in report.to_text()
+    assert report.to_record()["pearson_rho"] is None
+    # the metric function itself still refuses
+    with pytest.raises(EvaluationError, match="zero variance"):
+        pearson_rho(np.array([0.3, 0.7]), np.ones(2))
+
+
 def test_report_text_and_record():
     report = EvalReport(0.5, 0.25, 0.1, -3.5, 2, 1)
     lines = report.to_text().strip().split("\n")

@@ -349,6 +349,20 @@ def test_full_objective_chunking_is_value_stable(monkeypatch):
     assert chunked == pytest.approx(whole, rel=1e-12)
 
 
+def test_full_objective_spanning_several_chunks_matches_dense_oracle():
+    rng = np.random.default_rng(29)
+    m, n, k = 150, 130, 3
+    X = (rng.random((m, n)) < 0.95) * rng.integers(1, 8, size=(m, n)).astype(float)
+    users, items = np.nonzero(X)
+    data = SparseInteractions.from_entries(users, items, X[users, items], m, n)
+    assert data.nnz > 2 * core._CHUNK
+    A = rng.uniform(0.05, 1.5, size=(m, k))
+    B = rng.uniform(0.05, 1.5, size=(n, k))
+    for reg in (RegularizationSpec("l2", 0.7), RegularizationSpec("l1", 0.4)):
+        got = full_objective(data, A, B, reg)
+        assert got == pytest.approx(dense_objective_oracle(A, B, X, reg), rel=1e-10)
+
+
 def test_full_objective_counts_clamps():
     data = SparseInteractions.from_entries([0, 1], [0, 1], [2.0, 3.0], 2, 2)
     A = np.array([[0.0, 0.0], [1.0, 1.0]])  # user 0 predicts 0 at a positive count

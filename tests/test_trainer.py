@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from poisfact import (
+    ClampStats,
     ConfigError,
     DataError,
     DegenerateModelError,
@@ -148,6 +149,42 @@ def test_train_cold_rows_take_the_shrink_path():
     assert np.array_equal(model.B, B_ref)
 
 
+@pytest.mark.parametrize("tau", [1, 3])
+def test_train_clamp_events_match_per_row_tally(tau):
+    # a heavy l1 step zeroes rows whose dots then clamp: in the next half,
+    # in the objective, and in the user step that reuses the objective's dots
+    rng = np.random.default_rng(0)
+    data = random_data(rng, m=20, n=15, density=0.3)
+    config = TrainConfig(
+        k=3, alpha=0.2, lam=1.0, iters=4, reg="l1", seed=0, solver=SolverChoice(tau=tau)
+    )
+    model, report = train(data, config)
+    init = init_factors(data.m, data.n, config.k, config.seed)
+    A, B = init.A, init.B
+    reg = config.regularization
+    alpha = config.alpha
+    stats = ClampStats()
+    objective_clamps = []
+    for _ in range(config.iters):
+        s_b = B.sum(axis=0)
+        for u in range(data.m):
+            items, counts = data.row(u)
+            view = RegressionView(x=A[u], rows=B[items], counts=counts, s=s_b)
+            A[u] = prox_grad_update(A[u], view, alpha, reg, tau, stats=stats)
+        s_a = A.sum(axis=0)
+        for i in range(data.n):
+            users, counts = data.col(i)
+            view = RegressionView(x=B[i], rows=A[users], counts=counts, s=s_a)
+            B[i] = prox_grad_update(B[i], view, alpha, reg, tau, stats=stats)
+        alpha *= 0.5
+        before = stats.clamped
+        full_objective(data, A, B, reg, stats=stats)
+        objective_clamps.append(stats.clamped - before)
+    assert any(objective_clamps[:-1])  # some reused dots do clamp
+    assert report.clamp_events == stats.clamped
+    assert np.array_equal(model.A, A) and np.array_equal(model.B, B)
+
+
 # ---------------------------------------------------------------- determinism
 
 
@@ -239,6 +276,16 @@ def test_train_numeric_failure_names_iteration():
     ) as err:
         train(data, config)
     assert "alpha" in str(err.value)
+
+
+def test_train_numeric_failure_names_half_and_row():
+    # only user 1's huge count overflows; user 0 stays finite
+    data = SparseInteractions.from_entries([0, 1], [0, 0], [1.0, 1e308], 2, 1)
+    config = TrainConfig(k=1, alpha=1e3, lam=0.0, iters=2, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericFailureError, match=r"iteration 0: non-finite factors in user row 1"
+    ):
+        train(data, config)
 
 
 def test_train_degenerate_model_rejected():

@@ -2,14 +2,18 @@
 
 The CG solver is checked against an independent generic constrained
 minimizer (bounded L-BFGS-B) on the same per-vector objective; the
-proximal-gradient update against closed-form fixed points and step bounds.
+proximal-gradient update against closed-form fixed points and step bounds,
+and the whole-matrix proximal-gradient step against rows built from the
+per-vector gradient and prox.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from poisfact import (
+    ClampStats,
     ConfigError,
     NumericFailureError,
     RegressionView,
@@ -17,10 +21,13 @@ from poisfact import (
     SolverChoice,
     apply_solver,
     conj_grad_update,
+    gradient_vector,
     objective_vector,
     prox_grad_update,
+    prox_operator,
 )
 from poisfact.poisson_core import DOT_FLOOR
+from poisfact.vector_solvers import prox_grad_matrix
 
 
 def joint_objective(x, view, reg):
@@ -143,6 +150,82 @@ def test_prox_update_stays_nonnegative():
         view = random_view(rng, k=int(rng.integers(1, 6)))
         out = prox_grad_update(view.x, view, float(rng.uniform(0.01, 0.5)), L2_FREE)
         assert out.min() >= 0.0
+
+
+# ---------------------------------------------------------------- whole-matrix proximal gradient
+
+
+def blas_rows_oracle(counts, X, fixed, s, alpha, reg, tau):
+    """Each row stepped on its own by gradient_vector and prox_operator."""
+    out = np.empty_like(X)
+    stats = ClampStats()
+    for r in range(X.shape[0]):
+        lo, hi = counts.indptr[r], counts.indptr[r + 1]
+        x = X[r]
+        for _ in range(tau):
+            view = RegressionView(
+                x=x, rows=fixed[counts.indices[lo:hi]], counts=counts.data[lo:hi], s=s
+            )
+            x = prox_operator(x - alpha * gradient_vector(view, stats=stats), alpha, s, reg)
+        out[r] = x
+    return out, stats.clamped
+
+
+def clamping_instance(rng, r=30, c=20, k=4):
+    """Counts with empty rows, and factor rows whose dots clamp at the floor."""
+    dense = (rng.random((r, c)) < 0.3) * rng.integers(1, 6, size=(r, c)).astype(float)
+    dense[[3, 11, 17]] = 0.0  # rows without entries
+    dense[[5, 8], :4] = 2.0  # rows that surely have entries
+    counts = sp.csr_matrix(dense)
+    X = rng.uniform(0.05, 1.5, size=(r, k))
+    X[[5, 8]] = 0.0  # every dot of these rows is zero and clamps
+    fixed = rng.uniform(0.05, 1.5, size=(c, k))
+    return counts, X, fixed, fixed.sum(axis=0)
+
+
+@pytest.mark.parametrize("tau", [1, 3])
+@pytest.mark.parametrize("reg", [RegularizationSpec("l2", 0.8), RegularizationSpec("l1", 0.3)])
+def test_prox_grad_matrix_matches_per_row_blas_oracle(tau, reg):
+    rng = np.random.default_rng(35 + tau)
+    counts, X, fixed, s = clamping_instance(rng)
+    alpha = 1e-3
+    stats = ClampStats()
+    got = prox_grad_matrix(counts, X, fixed, s, alpha, reg, tau, stats)
+    want, clamped = blas_rows_oracle(counts, X, fixed, s, alpha, reg, tau)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert stats.clamped == clamped >= 8  # rows 5 and 8 clamp at their first step
+    # empty rows see no gradient: the bare prox applied tau times
+    shrunk = X[[3, 11, 17]]
+    for _ in range(tau):
+        shrunk = prox_operator(shrunk, alpha, s, reg)
+    assert np.array_equal(got[[3, 11, 17]], shrunk)
+    # the per-row update is the one-row case of the same routine, bit for bit
+    for r in range(X.shape[0]):
+        lo, hi = counts.indptr[r], counts.indptr[r + 1]
+        view = RegressionView(
+            x=X[r], rows=fixed[counts.indices[lo:hi]], counts=counts.data[lo:hi], s=s
+        )
+        assert np.array_equal(prox_grad_update(X[r], view, alpha, reg, tau), got[r])
+
+
+def test_prox_grad_matrix_reuses_given_dots():
+    rng = np.random.default_rng(38)
+    counts, X, fixed, s = clamping_instance(rng)
+    reg = RegularizationSpec("l2", 0.5)
+    rows = np.repeat(np.arange(X.shape[0]), np.diff(counts.indptr))
+    dots = np.maximum((X[rows] * fixed[counts.indices]).sum(axis=1), DOT_FLOOR)
+    stats = ClampStats()
+    reused = prox_grad_matrix(counts, X, fixed, s, 1e-3, reg, 2, stats, dots=dots)
+    fresh = prox_grad_matrix(counts, X, fixed, s, 1e-3, reg, 2)
+    assert np.array_equal(reused, fresh)
+    assert stats.clamped == 0  # the given dots' clamps are the caller's
+
+
+def test_prox_grad_matrix_rejects_bad_step():
+    rng = np.random.default_rng(39)
+    counts, X, fixed, s = clamping_instance(rng)
+    with pytest.raises(ValueError, match="positive"):
+        prox_grad_matrix(counts, X, fixed, s, 0.0, L2_FREE)
 
 
 # ---------------------------------------------------------------- conjugate gradient
