@@ -5,7 +5,7 @@ nonnegative factors under an identity link, using alternating updates of
 the two factor matrices. The likelihood contribution of the zero entries
 collapses to a dot product of factor column sums, so training cost scales
 with the stored entries, never with m*n. Updates are either closed-form
-proximal gradient steps or a per-row nonnegative conjugate-gradient solver,
+proximal gradient steps or a nonnegative conjugate-gradient solver,
 and the package ships data ingestion, a ranking evaluator, and a CLI.
 """
 
@@ -74,7 +74,6 @@ from .vector_solvers import (
     CONJGRAD,
     PROXGRAD,
     SolverChoice,
-    apply_solver,
     conj_grad_update,
     prox_grad_update,
 )
@@ -134,7 +133,6 @@ __all__ = [
     "CONJGRAD",
     "PROXGRAD",
     "SolverChoice",
-    "apply_solver",
     "conj_grad_update",
     "prox_grad_update",
     "__version__",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DataMismatchError, PoisfactError
-from .evaluator import EvalConfig, evaluate, score_user
+from .evaluator import EvalConfig, evaluate, score_user, top_n_unseen
 from .sparse_data import (
     IdMap,
     SparseInteractions,
@@ -159,11 +159,7 @@ def recommend_for_user(
         raise ConfigError(f"top-n must be >= 1, got {top_n}")
     u = id_map.user_index(user_token)
     scores = score_user(model, u)
-    eligible = np.ones(model.n, dtype=bool)
-    eligible[data.row(u)[0]] = False
-    candidates = np.flatnonzero(eligible)
-    order = np.argsort(-scores[candidates], kind="stable")
-    top = candidates[order[: min(top_n, len(candidates))]]
+    top = top_n_unseen(scores, data.row(u)[0], top_n)
     return RecommendationList(
         user=user_token,
         items=[(id_map.item_token(int(i)), float(scores[i])) for i in top],
@@ -228,7 +224,6 @@ def cmd_train(args) -> int:
         solver=solver,
         reg=args.reg,
         seed=args.seed,
-        threads=args.threads,
     )
 
     progress = None
@@ -333,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reg", choices=("l2", "l1"), default="l2")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--threads", type=int, default=1,
-                   help="workers for the per-row updates of --solver cg")
+                   help="accepted for compatibility and ignored: both solvers update whole matrices")
     p.add_argument("--export-text", metavar="PATH", help="also dump factors as text")
     p.add_argument("--quiet", action="store_true", help="suppress the per-iteration trace")
     _add_format_flags(p)

@@ -82,6 +82,20 @@ def score_user(model: FactorModel, u: int) -> np.ndarray:
     return model.B @ model.A[u]
 
 
+def top_n_unseen(scores: np.ndarray, seen: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n best-scored items outside ``seen``, best first.
+
+    Ties are broken by ascending item index; when fewer than n items are
+    eligible, all of them are returned.
+    """
+    eligible = np.ones(len(scores), dtype=bool)
+    eligible[seen] = False
+    candidates = np.flatnonzero(eligible)
+    # stable sort on negated scores: equal scores keep ascending item order
+    order = np.argsort(-scores[candidates], kind="stable")
+    return candidates[order[: min(n, len(candidates))]]
+
+
 def precision_at_k(
     scores: np.ndarray,
     positives: np.ndarray,
@@ -94,13 +108,7 @@ def precision_at_k(
     before ranking. Ties are broken by ascending item index. When fewer than
     k eligible items exist the fraction is over the items actually ranked.
     """
-    scores = np.asarray(scores)
-    eligible = np.ones(len(scores), dtype=bool)
-    eligible[np.asarray(train_items, dtype=np.int64)] = False
-    candidates = np.flatnonzero(eligible)
-    # stable sort on negated scores: equal scores keep ascending item order
-    order = np.argsort(-scores[candidates], kind="stable")
-    top = candidates[order[: min(k, len(candidates))]]
+    top = top_n_unseen(np.asarray(scores), np.asarray(train_items, dtype=np.int64), k)
     if len(top) == 0:
         return 0.0
     return float(np.isin(top, np.asarray(positives, dtype=np.int64)).mean())

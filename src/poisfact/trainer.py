@@ -8,32 +8,26 @@ O(nnz*k*tau + (m+n)*k) regardless of how large m*n grows.
 
 Row updates within a half-iteration are independent: each reads the frozen
 other matrix, the shared sum vector, and its own row, and writes only its own
-row. The proximal-gradient solver updates a whole matrix in one call, its
-first user step reusing the dots of the previous objective. CG runs per row
-in fixed blocks over ``threads`` workers. Results are bit-identical run to
-run, and for CG across worker counts.
+row. Either solver therefore updates a whole matrix in one call; the first
+proximal-gradient user step of an iteration reuses the dots of the previous
+objective. Results are bit-identical run to run.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateModelError, NumericFailureError
-from .poisson_core import ClampStats, RegressionView, RegularizationSpec, full_objective
+from .poisson_core import ClampStats, RegularizationSpec, full_objective
 from .sparse_data import SparseInteractions
-from .vector_solvers import PROXGRAD, SolverChoice, apply_solver, prox_grad_matrix
+from .vector_solvers import PROXGRAD, SolverChoice, conj_grad_matrix, prox_grad_matrix
 
 _log = logging.getLogger(__name__)
-
-# CG rows are dispatched to workers in fixed blocks of this many consecutive
-# rows; the partition depends only on the data, never on the worker count.
-BLOCK_ROWS = 64
 
 ProgressHook = Callable[[int, float, float], None]
 
@@ -46,8 +40,6 @@ class TrainConfig:
     regularization with a tiny initial step that halves every iteration. The
     conjugate-gradient solver ignores ``alpha`` (it line-searches) and is
     typically run with little or no regularization and more iterations.
-    ``threads`` is the number of workers for the CG per-row updates; the
-    proximal-gradient solver updates whole matrices and ignores it.
     """
 
     k: int = 40
@@ -57,7 +49,6 @@ class TrainConfig:
     solver: SolverChoice = field(default_factory=SolverChoice)
     reg: str = "l2"
     seed: int = 42
-    threads: int = 1
 
     def __post_init__(self):
         if self.k < 1:
@@ -68,8 +59,6 @@ class TrainConfig:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if not 0 <= self.seed < 2**63:
             raise ConfigError(f"seed must be a nonnegative 63-bit integer, got {self.seed}")
         RegularizationSpec(self.reg, self.lam)  # validates kind and strength
@@ -137,44 +126,6 @@ def training_objective(
     return full_objective(data, model.A, model.B, reg)
 
 
-def _update_rows(
-    target: np.ndarray,
-    csx,
-    fixed: np.ndarray,
-    s: np.ndarray,
-    alpha: float,
-    reg: RegularizationSpec,
-    choice: SolverChoice,
-    pool: ThreadPoolExecutor | None,
-) -> int:
-    """Update every row of ``target`` in place; returns clamp events.
-
-    Every row update reads only frozen state (the fixed matrix, the sum
-    vector, its own current row) and writes its own row, so blocks may run
-    concurrently. Clamp counts and raised errors are collected in block
-    order, keeping totals and failure reports independent of scheduling.
-    """
-    indptr, indices, values = csx.indptr, csx.indices, csx.data
-    blocks = np.split(np.arange(len(target)), range(BLOCK_ROWS, len(target), BLOCK_ROWS))
-
-    def run_block(rows: np.ndarray) -> int:
-        stats = ClampStats()
-        for u in rows:
-            lo, hi = indptr[u], indptr[u + 1]
-            view = RegressionView(
-                x=target[u], rows=fixed[indices[lo:hi]], counts=values[lo:hi], s=s
-            )
-            target[u] = apply_solver(
-                target[u], view, choice, alpha, reg, index=int(u), stats=stats
-            )
-        return stats.clamped
-
-    if pool is None:
-        return sum(run_block(block) for block in blocks)
-    futures = [pool.submit(run_block, block) for block in blocks]
-    return sum(f.result() for f in futures)
-
-
 def _check_finite(matrix: np.ndarray, side: str) -> None:
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if len(bad):
@@ -226,45 +177,37 @@ def train(
         data.m, data.n, data.nnz, config.k, choice.method, config.iters,
     )
 
-    # Workers start on the first CG submit; the proximal-gradient path submits none.
-    pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-
     def half(X, fixed, counts, alpha, reused=None):
         s = fixed.sum(axis=0)
         if proxgrad:
             return prox_grad_matrix(counts, X, fixed, s, alpha, reg, choice.tau, clamps, reused)
-        clamps.bump(_update_rows(X, counts, fixed, s, alpha, reg, choice, pool))
-        return X
+        return conj_grad_matrix(counts, X, fixed, s, reg, choice.max_updates, clamps)
 
-    try:
-        for t in range(config.iters):
-            started = time.perf_counter()
-            try:
-                clamps.bump(reused_clamps)
-                model.A = half(model.A, model.B, by_user, alpha, reused)
-                _check_finite(model.A, "user")
-                model.B = half(model.B, model.A, by_item, alpha)
-                _check_finite(model.B, "item")
-            except NumericFailureError as exc:
-                raise NumericFailureError(
-                    f"training failed at iteration {t}: {exc}; "
-                    "try a smaller step size (alpha) or stronger regularization (lambda)"
-                ) from exc
+    for t in range(config.iters):
+        started = time.perf_counter()
+        try:
+            clamps.bump(reused_clamps)
+            model.A = half(model.A, model.B, by_user, alpha, reused)
+            _check_finite(model.A, "user")
+            model.B = half(model.B, model.A, by_item, alpha)
+            _check_finite(model.B, "item")
+        except NumericFailureError as exc:
+            raise NumericFailureError(
+                f"training failed at iteration {t}: {exc}; "
+                "try a smaller step size (alpha) or stronger regularization (lambda)"
+            ) from exc
 
-            before = clamps.clamped
-            objective = full_objective(data, model.A, model.B, reg, clamps, dots_out=dots)
-            if proxgrad:
-                alpha *= 0.5
-                reused, reused_clamps = dots, clamps.clamped - before
-            elapsed = time.perf_counter() - started
-            objective_trace.append(objective)
-            iteration_seconds.append(elapsed)
-            _log.debug("iteration %d objective %.6e (%.2fs)", t, objective, elapsed)
-            if progress is not None:
-                progress(t, objective, elapsed)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+        before = clamps.clamped
+        objective = full_objective(data, model.A, model.B, reg, clamps, dots_out=dots)
+        if proxgrad:
+            alpha *= 0.5
+            reused, reused_clamps = dots, clamps.clamped - before
+        elapsed = time.perf_counter() - started
+        objective_trace.append(objective)
+        iteration_seconds.append(elapsed)
+        _log.debug("iteration %d objective %.6e (%.2fs)", t, objective, elapsed)
+        if progress is not None:
+            progress(t, objective, elapsed)
 
     if (model.A == 0).all() or (model.B == 0).all():
         raise DegenerateModelError(

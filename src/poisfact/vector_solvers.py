@@ -1,16 +1,17 @@
 """Update rules: proximal-gradient steps and a nonnegative CG solver.
 
-Both advance factor rows against a frozen view of the other matrix. The
-proximal-gradient step, the trainer's workhorse, updates a whole matrix at
-once: the smooth gradient of all user rows is -R B, R the counts divided by
-A B^T at the stored entries. The conjugate-gradient alternative works per
-row on the full per-vector objective and tolerates little or no
-regularization at the cost of line searches.
+Both advance every row of a factor matrix at once against the frozen other
+matrix. The proximal-gradient step, the trainer's workhorse, uses the smooth
+gradient of all user rows, -R B with R the counts divided by A B^T at the
+stored entries. The conjugate-gradient alternative minimizes each row's full
+objective with line searches, all rows in lockstep, and tolerates little or
+no regularization. The per-vector functions are the one-row calls of the
+whole-matrix ones and give the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,8 +22,6 @@ from .poisson_core import (
     RegressionView,
     RegularizationSpec,
     entry_dots,
-    gradient_vector,
-    objective_vector,
     prox_operator,
 )
 
@@ -31,23 +30,24 @@ CONJGRAD = "cg"
 
 # Stop CG when the projected gradient is this small in infinity norm.
 PGRAD_TOL = 1e-9
+# Projected Armijo backtracking of CG: sufficient-decrease constant, shrink
+# factor of the trial step, and trials per update before a row gives up.
+ARMIJO_C = 1e-4
+ARMIJO_SHRINK = 0.5
+MAX_BACKTRACKS = 20
 
 
 @dataclass(frozen=True)
 class SolverChoice:
-    """Which per-vector solver to run and its knobs.
+    """Which solver to run and its knobs.
 
-    ``tau`` is the number of proximal-gradient updates applied to each vector
-    per outer iteration; ``max_updates`` bounds CG iterations per vector. The
-    Armijo constants govern the CG backtracking line search.
+    ``tau`` is the number of proximal-gradient updates applied to each row
+    per outer iteration; ``max_updates`` bounds CG iterations per row.
     """
 
     method: str = PROXGRAD
     tau: int = 1
     max_updates: int = 5
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    max_backtracks: int = 20
 
     def __post_init__(self):
         if self.method not in (PROXGRAD, CONJGRAD):
@@ -56,17 +56,32 @@ class SolverChoice:
             raise ConfigError(f"tau must be >= 1, got {self.tau}")
         if self.max_updates < 1:
             raise ConfigError(f"max_updates must be >= 1, got {self.max_updates}")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ConfigError(f"armijo_c must lie in (0, 1), got {self.armijo_c}")
-        if not 0.0 < self.armijo_shrink < 1.0:
-            raise ConfigError(f"armijo_shrink must lie in (0, 1), got {self.armijo_shrink}")
-        if self.max_backtracks < 1:
-            raise ConfigError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
 
 
 def _nonfinite(what: str, index: int | None) -> NumericFailureError:
     where = f" for row {index}" if index is not None else ""
     return NumericFailureError(f"non-finite {what} update{where}")
+
+
+def _entry_rows(counts: sp.csr_matrix) -> np.ndarray:
+    """Row index of every stored entry, in CSR order."""
+    return np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+
+
+def _one_row(view: RegressionView) -> sp.csr_matrix:
+    """The counts of a per-vector view as a one-row CSR over ``view.rows``."""
+    q = len(view.counts)
+    return sp.csr_matrix((view.counts, np.arange(q), [0, q]), shape=(1, q))
+
+
+def _ratio_times(counts: sp.csr_matrix, dots: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """The counts divided by their entries' dots, as CSR, times ``fixed``.
+
+    Each row sums its own entries in stored order, so its bits do not depend
+    on the other rows.
+    """
+    ratio = sp.csr_matrix((counts.data / dots, counts.indices, counts.indptr), counts.shape)
+    return ratio @ fixed
 
 
 def prox_grad_matrix(
@@ -84,18 +99,17 @@ def prox_grad_matrix(
 
     ``counts`` (rows of X by rows of ``fixed``) divided by the entries' dots,
     times ``fixed``, is the negated gradient; empty rows get exactly zero.
-    Each row sums its own entries in stored order, so it gets the same bits
-    as when updated alone (prox_grad_update). ``dots`` are the first step's
-    floored dots if known, their clamps the caller's to count.
+    Each row gets the same bits as when updated alone (prox_grad_update).
+    ``dots`` are the first step's floored dots if known, their clamps the
+    caller's to count.
     """
     if alpha <= 0:
         raise ValueError(f"step size must be positive, got {alpha}")
-    rows = np.repeat(np.arange(X.shape[0]), np.diff(counts.indptr))
+    rows = _entry_rows(counts)
     for step in range(tau):
         if step or dots is None:
             dots = entry_dots(X, fixed, rows, counts.indices, stats)
-        ratio = sp.csr_matrix((counts.data / dots, counts.indices, counts.indptr), counts.shape)
-        X = prox_operator(X + alpha * (ratio @ fixed), alpha, s, reg)
+        X = prox_operator(X + alpha * _ratio_times(counts, dots, fixed), alpha, s, reg)
     return X
 
 
@@ -120,46 +134,64 @@ def prox_grad_update(
         If the result is not finite; the message carries ``index`` when the
         caller supplies the row being updated.
     """
-    q = len(view.counts)
-    counts = sp.csr_matrix((view.counts, np.arange(q), [0, q]), shape=(1, q))
-    x = prox_grad_matrix(counts, x[None, :], view.rows, view.s, alpha, reg, tau, stats)[0]
+    x = prox_grad_matrix(_one_row(view), x[None, :], view.rows, view.s, alpha, reg, tau, stats)[0]
     if not np.isfinite(x).all():
         raise _nonfinite("proximal-gradient", index)
     return x
 
 
-def _cg_objective(
-    view: RegressionView, x: np.ndarray, reg: RegularizationSpec, stats: ClampStats | None
-) -> float:
-    return objective_vector(replace(view, x=x), reg, clamp=True, stats=stats)
+def _take_rows(counts: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """CSR rows ``rows`` (ascending, distinct) of counts; counts itself if that is all of them."""
+    return counts if len(rows) == counts.shape[0] else counts[rows]
 
 
-def _cg_gradient(
-    view: RegressionView, x: np.ndarray, reg: RegularizationSpec, stats: ClampStats | None
+def _row_objectives(
+    counts: sp.csr_matrix,
+    Y: np.ndarray,
+    fixed: np.ndarray,
+    s: np.ndarray,
+    reg: RegularizationSpec,
+    stats: ClampStats | None,
 ) -> np.ndarray:
-    # Gradient of the FULL per-vector objective. On the nonnegative orthant
-    # the l1 penalty is linear, so the joint objective stays smooth there.
-    g = view.s + gradient_vector(replace(view, x=x), stats=stats)
+    """Full objective of every row of Y, s.y + penalty - sum c*log(dots), dots clamped."""
+    rows = _entry_rows(counts)
+    dots = entry_dots(Y, fixed, rows, counts.indices, stats)
+    f = (Y * s).sum(axis=1)
     if reg.lam != 0.0:
-        if reg.kind == "l2":
-            g = g + 2.0 * reg.lam * x
-        else:
-            g = g + reg.lam
+        f = f + reg.lam * ((Y * Y).sum(axis=1) if reg.kind == "l2" else np.abs(Y).sum(axis=1))
+    return f - np.bincount(rows, counts.data * np.log(dots), minlength=len(Y))
+
+
+def _row_gradients(
+    counts: sp.csr_matrix,
+    Y: np.ndarray,
+    fixed: np.ndarray,
+    s: np.ndarray,
+    reg: RegularizationSpec,
+    stats: ClampStats | None,
+) -> np.ndarray:
+    """Gradient of every row's full objective, dots clamped.
+
+    On the nonnegative orthant the l1 penalty is linear, so the full
+    objective stays smooth there.
+    """
+    dots = entry_dots(Y, fixed, _entry_rows(counts), counts.indices, stats)
+    g = s - _ratio_times(counts, dots, fixed)
+    if reg.lam != 0.0:
+        g = g + (2.0 * reg.lam * Y if reg.kind == "l2" else reg.lam)
     return g
 
 
-def conj_grad_update(
-    x: np.ndarray,
-    view: RegressionView,
+def conj_grad_matrix(
+    counts: sp.csr_matrix,
+    X: np.ndarray,
+    fixed: np.ndarray,
+    s: np.ndarray,
     reg: RegularizationSpec,
     max_updates: int = 5,
-    armijo_c: float = 1e-4,
-    armijo_shrink: float = 0.5,
-    max_backtracks: int = 20,
-    index: int | None = None,
     stats: ClampStats | None = None,
 ) -> np.ndarray:
-    """Minimize the full per-vector objective by nonnegative Polak-Ribiere CG.
+    """Minimize every row's full objective by nonnegative Polak-Ribiere CG.
 
     The search direction combines the current gradient (zeroed on the active
     set, i.e. coordinates pinned at zero with positive gradient) with the
@@ -167,74 +199,91 @@ def conj_grad_update(
     changes, the Polak-Ribiere coefficient turns negative, or the direction
     stops being a descent direction. Steps are found by a projected-arc
     Armijo backtracking line search, so accepted steps never increase the
-    objective. Iteration stops at ``max_updates`` or when the projected
-    gradient drops below PGRAD_TOL in infinity norm.
+    objective. A row stops at ``max_updates``, when its projected gradient
+    drops below PGRAD_TOL in infinity norm, or when its search fails.
+
+    All rows run in lockstep: step sizes, Polak-Ribiere coefficients and
+    trial steps are per-row vectors, and stops, acceptances and resets are
+    row masks; each backtrack evaluates only the rows still searching. Every
+    reduction stays inside its row, so a row gets the same bits as when
+    updated alone (conj_grad_update).
     """
-    x = np.array(x, dtype=np.float64, copy=True)
-    fx = _cg_objective(view, x, reg, stats)
-    g = _cg_gradient(view, x, reg, stats)
-    d = None
-    g_free_prev = None
-    active_prev = None
-    step = 1.0 / (1.0 + float(np.linalg.norm(g)))
+    X = np.array(X, dtype=np.float64, copy=True)
+    f = _row_objectives(counts, X, fixed, s, reg, stats)
+    g = _row_gradients(counts, X, fixed, s, reg, stats)
+    d = np.zeros_like(X)
+    g_free_prev = np.zeros_like(X)
+    active_prev = np.zeros(X.shape, dtype=bool)
+    fresh = np.ones(len(X), dtype=bool)  # no step accepted yet, so no direction to continue
+    step = 1.0 / (1.0 + np.sqrt((g * g).sum(axis=1)))
+    live = np.arange(len(X))
     for _ in range(max_updates):
-        g_proj = np.where(x > 0.0, g, np.minimum(g, 0.0))
-        if float(np.abs(g_proj).max()) < PGRAD_TOL:
+        x, gl = X[live], g[live]
+        g_proj = np.where(x > 0.0, gl, np.minimum(gl, 0.0))
+        going = ~(np.abs(g_proj).max(axis=1) < PGRAD_TOL)  # a NaN gradient goes on
+        live, x, gl = live[going], x[going], gl[going]
+        if not len(live):
             break
-        active = (x == 0.0) & (g > 0.0)
-        g_free = np.where(active, 0.0, g)
-        if d is None or not np.array_equal(active, active_prev):
-            d = -g_free
-        else:
-            denom = float(g_free_prev @ g_free_prev)
-            beta = float(g_free @ (g_free - g_free_prev)) / denom if denom > 0.0 else 0.0
-            d = -g_free if beta < 0.0 else -g_free + beta * d
-        if float(d @ g) >= 0.0:
-            d = -g_free
-        accepted = False
-        t = step
-        for _ in range(max_backtracks):
-            cand = np.maximum(0.0, x + t * d)
-            f_cand = _cg_objective(view, cand, reg, stats)
-            gain = float(g @ (cand - x))
-            # min(0, gain) keeps acceptance monotone even if projection bends
+        active = (x == 0.0) & (gl > 0.0)
+        g_free = np.where(active, 0.0, gl)
+        gp = g_free_prev[live]
+        denom = (gp * gp).sum(axis=1)
+        beta = np.divide(
+            (g_free * (g_free - gp)).sum(axis=1), denom,
+            out=np.zeros(len(live)), where=denom > 0.0,
+        )
+        restart = fresh[live] | (active != active_prev[live]).any(axis=1) | (beta < 0.0)
+        dl = np.where(restart[:, None], -g_free, -g_free + beta[:, None] * d[live])
+        dl = np.where(((dl * gl).sum(axis=1) >= 0.0)[:, None], -g_free, dl)
+
+        t = step[live]
+        cand = np.empty_like(x)
+        f_cand = np.empty(len(live))
+        accepted = np.zeros(len(live), dtype=bool)
+        search = np.arange(len(live))
+        for _ in range(MAX_BACKTRACKS):
+            xs = x[search]
+            trial = np.maximum(0.0, xs + t[search, None] * dl[search])
+            f_trial = _row_objectives(_take_rows(counts, live[search]), trial, fixed, s, reg, stats)
+            gain = (gl[search] * (trial - xs)).sum(axis=1)
+            # fmin(0, gain) keeps acceptance monotone even if projection bends
             # the step away from a descent direction.
-            if f_cand <= fx + armijo_c * min(0.0, gain):
-                accepted = True
+            ok = f_trial <= f[live[search]] + ARMIJO_C * np.fmin(0.0, gain)
+            hit = search[ok]
+            cand[hit], f_cand[hit], accepted[hit] = trial[ok], f_trial[ok], True
+            search = search[~ok]
+            if not len(search):
                 break
-            t *= armijo_shrink
-        if not accepted:
-            break
-        active_prev = active
-        g_free_prev = g_free
-        x, fx = cand, f_cand
-        g = _cg_gradient(view, x, reg, stats)
-        step = t * 2.0
-    if not np.isfinite(x).all():
-        raise _nonfinite("conjugate-gradient", index)
-    return x
+            t[search] *= ARMIJO_SHRINK
+
+        live = live[accepted]
+        X[live], f[live] = cand[accepted], f_cand[accepted]
+        d[live], g_free_prev[live], active_prev[live] = dl[accepted], g_free[accepted], active[accepted]
+        fresh[live] = False
+        g[live] = _row_gradients(_take_rows(counts, live), X[live], fixed, s, reg, stats)
+        step[live] = t[accepted] * 2.0
+    return X
 
 
-def apply_solver(
+def conj_grad_update(
     x: np.ndarray,
     view: RegressionView,
-    choice: SolverChoice,
-    alpha: float,
     reg: RegularizationSpec,
+    max_updates: int = 5,
     index: int | None = None,
     stats: ClampStats | None = None,
 ) -> np.ndarray:
-    """Run the configured per-vector solver once for one row."""
-    if choice.method == PROXGRAD:
-        return prox_grad_update(x, view, alpha, reg, choice.tau, index=index, stats=stats)
-    return conj_grad_update(
-        x,
-        view,
-        reg,
-        max_updates=choice.max_updates,
-        armijo_c=choice.armijo_c,
-        armijo_shrink=choice.armijo_shrink,
-        max_backtracks=choice.max_backtracks,
-        index=index,
-        stats=stats,
-    )
+    """Minimize the full per-vector objective by nonnegative CG.
+
+    The one-row call of conj_grad_matrix, bit for bit.
+
+    Raises
+    ------
+    NumericFailureError
+        If the result is not finite; the message carries ``index`` when the
+        caller supplies the row being updated.
+    """
+    x = conj_grad_matrix(_one_row(view), x[None, :], view.rows, view.s, reg, max_updates, stats)[0]
+    if not np.isfinite(x).all():
+        raise _nonfinite("conjugate-gradient", index)
+    return x

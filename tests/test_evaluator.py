@@ -30,6 +30,7 @@ from poisfact import (
 
 # the package name test_loglik would be collected as a test; alias it
 from poisfact import test_loglik as heldout_loglik
+from poisfact.evaluator import top_n_unseen
 
 
 def auc_pairs_oracle(pos_scores, neg_scores):
@@ -83,6 +84,25 @@ def test_score_user_values():
 def test_score_user_zero_row():
     model = FactorModel(np.zeros((1, 2)), np.ones((3, 2)), 2)
     assert np.array_equal(score_user(model, 0), np.zeros(3))
+
+
+# ---------------------------------------------------------------- top-n ranking
+
+
+def test_top_n_unseen_breaks_ties_by_ascending_index():
+    scores = np.array([0.5, 0.9, 0.5, 0.9, 0.1, 0.5])
+    assert top_n_unseen(scores, np.array([], dtype=np.int64), 4).tolist() == [1, 3, 0, 2]
+
+
+def test_top_n_unseen_excludes_history():
+    scores = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
+    assert top_n_unseen(scores, np.array([0, 2]), 2).tolist() == [1, 3]
+    assert top_n_unseen(scores, np.arange(5), 3).tolist() == []
+
+
+def test_top_n_unseen_n_above_eligible_count():
+    scores = np.array([0.2, 0.4, 0.4, 0.1])
+    assert top_n_unseen(scores, np.array([1]), 10).tolist() == [2, 0, 3]
 
 
 # ---------------------------------------------------------------- precision

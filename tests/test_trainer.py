@@ -4,11 +4,13 @@ The loop itself is pinned by a manual re-implementation of one and two
 iterations built from the public per-vector primitives; the trained matrices
 must match it bit for bit, which fixes the update order (users against the
 frozen item matrix, then items against the fresh user matrix) and the
-halved-step schedule.
+halved-step schedule. CG training is also held against a manual loop over
+the row-at-a-time reference CG of the solver tests.
 """
 
 import numpy as np
 import pytest
+from test_vector_solvers import reference_cg
 
 from poisfact import (
     ClampStats,
@@ -21,6 +23,7 @@ from poisfact import (
     SolverChoice,
     SparseInteractions,
     TrainConfig,
+    conj_grad_update,
     full_objective,
     init_factors,
     prox_grad_update,
@@ -185,31 +188,86 @@ def test_train_clamp_events_match_per_row_tally(tau):
     assert np.array_equal(model.A, A) and np.array_equal(model.B, B)
 
 
+def manual_cg(data, config, update):
+    """Reference CG loop: one row at a time by ``update``; returns A, B, clamps."""
+    model = init_factors(data.m, data.n, config.k, config.seed)
+    A, B = model.A, model.B
+    reg = config.regularization
+    updates = config.solver.max_updates
+    stats = ClampStats()
+    for _ in range(config.iters):
+        s_b = B.sum(axis=0)
+        for u in range(data.m):
+            items, counts = data.row(u)
+            view = RegressionView(x=A[u], rows=B[items], counts=counts, s=s_b)
+            A[u] = update(A[u], view, reg, updates, stats=stats)
+        s_a = A.sum(axis=0)
+        for i in range(data.n):
+            users, counts = data.col(i)
+            view = RegressionView(x=B[i], rows=A[users], counts=counts, s=s_a)
+            B[i] = update(B[i], view, reg, updates, stats=stats)
+        full_objective(data, A, B, reg, stats=stats)
+    return A, B, stats.clamped
+
+
+def collapsing_data():
+    # a wide catalogue with sparse rows: the large s.x at the start collapses
+    # some rows with entries to zero under CG
+    rng = np.random.default_rng(61)
+    return random_data(rng, m=60, n=120, density=0.04)
+
+
+CG_CONFIG = TrainConfig(
+    k=4, lam=0.0, iters=3, seed=5, solver=SolverChoice(method="cg", max_updates=5)
+)
+
+
+def test_train_cg_is_per_row_cg_bit_for_bit():
+    data = collapsing_data()
+    model, report = train(data, CG_CONFIG)
+    A, B, clamped = manual_cg(data, CG_CONFIG, conj_grad_update)
+    assert np.array_equal(model.A, A) and np.array_equal(model.B, B)
+    assert report.clamp_events == clamped > 0
+    assert report.zero_rows_a > 0  # the instance does collapse rows
+
+
+def test_train_cg_matches_reference_loop():
+    data = collapsing_data()
+    model, report = train(data, CG_CONFIG)
+    A, B, clamped = manual_cg(data, CG_CONFIG, reference_cg)
+    np.testing.assert_allclose(model.A, A, rtol=1e-10, atol=1e-10 * np.abs(A).max())
+    np.testing.assert_allclose(model.B, B, rtol=1e-10, atol=1e-10 * np.abs(B).max())
+    assert np.array_equal((model.A == 0).all(axis=1), (A == 0).all(axis=1))
+    assert np.array_equal((model.B == 0).all(axis=1), (B == 0).all(axis=1))
+    assert report.clamp_events == clamped
+
+
 # ---------------------------------------------------------------- determinism
 
 
-def test_train_bit_identical_across_threads_and_runs():
+def test_train_bit_identical_across_runs():
     rng = np.random.default_rng(55)
     data = random_data(rng, m=40, n=30, density=0.2)
     config = TrainConfig(k=4, alpha=1e-2, lam=2.0, iters=3, seed=1)
     base_model, base_report = train(data, config)
-    for threads in (4, 8, 1):
-        model, report = train(data, TrainConfig(**{**config.__dict__, "threads": threads}))
+    for _ in range(3):
+        model, report = train(data, config)
         assert np.array_equal(model.A, base_model.A)
         assert np.array_equal(model.B, base_model.B)
         assert report.objective_trace == base_report.objective_trace
 
 
-def test_train_cg_bit_identical_across_threads():
+def test_train_cg_bit_identical_across_runs():
     rng = np.random.default_rng(56)
     data = random_data(rng, m=25, n=20, density=0.25)
     config = TrainConfig(
         k=3, lam=0.0, iters=2, seed=2, solver=SolverChoice(method="cg", max_updates=4)
     )
-    base, _ = train(data, config)
-    redo, _ = train(data, TrainConfig(**{**config.__dict__, "threads": 8}))
+    base, base_report = train(data, config)
+    redo, redo_report = train(data, config)
     assert np.array_equal(base.A, redo.A)
     assert np.array_equal(base.B, redo.B)
+    assert redo_report.objective_trace == base_report.objective_trace
 
 
 # ---------------------------------------------------------------- behavior
@@ -304,7 +362,6 @@ def test_train_config_validation():
         {"alpha": -1e-3},
         {"lam": -1.0},
         {"iters": 0},
-        {"threads": 0},
         {"reg": "ridge"},
         {"seed": -5},
     ):

@@ -1,11 +1,15 @@
 """Per-vector solvers: proximal-gradient steps and the nonnegative CG solver.
 
 The CG solver is checked against an independent generic constrained
-minimizer (bounded L-BFGS-B) on the same per-vector objective; the
-proximal-gradient update against closed-form fixed points and step bounds,
-and the whole-matrix proximal-gradient step against rows built from the
-per-vector gradient and prox.
+minimizer (bounded L-BFGS-B) on the same per-vector objective, and the
+lockstep whole-matrix CG against a row-at-a-time reference built from the
+per-vector objective and gradient; the proximal-gradient update against
+closed-form fixed points and step bounds, and the whole-matrix
+proximal-gradient step against rows built from the per-vector gradient and
+prox.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +23,6 @@ from poisfact import (
     RegressionView,
     RegularizationSpec,
     SolverChoice,
-    apply_solver,
     conj_grad_update,
     gradient_vector,
     objective_vector,
@@ -27,14 +30,68 @@ from poisfact import (
     prox_operator,
 )
 from poisfact.poisson_core import DOT_FLOOR
-from poisfact.vector_solvers import prox_grad_matrix
+from poisfact.vector_solvers import conj_grad_matrix, prox_grad_matrix
 
 
 def joint_objective(x, view, reg):
     """Full per-vector objective including linear term and penalty, clamped."""
-    from dataclasses import replace
-
     return objective_vector(replace(view, x=np.asarray(x)), reg, clamp=True)
+
+
+def reference_cg(x, view, reg, max_updates=5, stats=None):
+    """Nonnegative Polak-Ribiere CG with projected Armijo backtracking, one row.
+
+    A plain per-row formulation of the solver, built from the public
+    objective_vector and gradient_vector; constants as in vector_solvers.
+    """
+
+    def objective(x):
+        return objective_vector(replace(view, x=x), reg, clamp=True, stats=stats)
+
+    def gradient(x):
+        g = view.s + gradient_vector(replace(view, x=x), stats=stats)
+        if reg.lam != 0.0:
+            g = g + (2.0 * reg.lam * x if reg.kind == "l2" else reg.lam)
+        return g
+
+    x = np.array(x, dtype=np.float64, copy=True)
+    fx, g = objective(x), gradient(x)
+    d = g_free_prev = active_prev = None
+    step = 1.0 / (1.0 + float(np.linalg.norm(g)))
+    for _ in range(max_updates):
+        g_proj = np.where(x > 0.0, g, np.minimum(g, 0.0))
+        if float(np.abs(g_proj).max()) < 1e-9:
+            break
+        active = (x == 0.0) & (g > 0.0)
+        g_free = np.where(active, 0.0, g)
+        if d is None or not np.array_equal(active, active_prev):
+            d = -g_free
+        else:
+            denom = float(g_free_prev @ g_free_prev)
+            beta = float(g_free @ (g_free - g_free_prev)) / denom if denom > 0.0 else 0.0
+            d = -g_free if beta < 0.0 else -g_free + beta * d
+        if float(d @ g) >= 0.0:
+            d = -g_free
+        t = step
+        for _ in range(20):
+            cand = np.maximum(0.0, x + t * d)
+            f_cand = objective(cand)
+            if f_cand <= fx + 1e-4 * min(0.0, float(g @ (cand - x))):
+                break
+            t *= 0.5
+        else:
+            break
+        active_prev, g_free_prev = active, g_free
+        x, fx = cand, f_cand
+        g = gradient(x)
+        step = t * 2.0
+    return x
+
+
+def row_view(counts, X, fixed, s, r):
+    """The per-vector view of row r of a whole-matrix problem."""
+    lo, hi = counts.indptr[r], counts.indptr[r + 1]
+    return RegressionView(x=X[r], rows=fixed[counts.indices[lo:hi]], counts=counts.data[lo:hi], s=s)
 
 
 def scipy_oracle(view, reg):
@@ -201,10 +258,7 @@ def test_prox_grad_matrix_matches_per_row_blas_oracle(tau, reg):
     assert np.array_equal(got[[3, 11, 17]], shrunk)
     # the per-row update is the one-row case of the same routine, bit for bit
     for r in range(X.shape[0]):
-        lo, hi = counts.indptr[r], counts.indptr[r + 1]
-        view = RegressionView(
-            x=X[r], rows=fixed[counts.indices[lo:hi]], counts=counts.data[lo:hi], s=s
-        )
+        view = row_view(counts, X, fixed, s, r)
         assert np.array_equal(prox_grad_update(X[r], view, alpha, reg, tau), got[r])
 
 
@@ -332,26 +386,79 @@ def test_cg_nonfinite_raises_with_row():
             assert np.isfinite(out).all()
 
 
-# ---------------------------------------------------------------- dispatch and config
+# ---------------------------------------------------------------- lockstep conjugate gradient
 
 
-def test_apply_solver_dispatches_proxgrad():
-    rng = np.random.default_rng(39)
-    view = random_view(rng)
-    reg = RegularizationSpec("l2", 0.2)
-    choice = SolverChoice(method="proxgrad", tau=2)
-    got = apply_solver(view.x.copy(), view, choice, 0.05, reg)
-    want = prox_grad_update(view.x.copy(), view, 0.05, reg, tau=2)
-    assert np.array_equal(got, want)
+def collapse_instance(rng, r=40, c=80, k=4):
+    """Sparse rows against a wide fixed matrix, whose large s.x collapses some rows.
+
+    Rows 3, 11 and 17 have no entries; rows 5 and 8 start at zero, so all
+    their dots clamp.
+    """
+    dense = (rng.random((r, c)) < 0.05) * rng.integers(1, 4, size=(r, c)).astype(float)
+    dense[[3, 11, 17]] = 0.0
+    dense[[5, 8], :3] = 2.0
+    counts = sp.csr_matrix(dense)
+    X = rng.uniform(0.05, 1.5, size=(r, k))
+    X[[5, 8]] = 0.0
+    fixed = rng.uniform(0.05, 1.5, size=(c, k))
+    return counts, X, fixed, fixed.sum(axis=0)
 
 
-def test_apply_solver_dispatches_cg():
-    rng = np.random.default_rng(40)
-    view = random_view(rng)
-    choice = SolverChoice(method="cg", max_updates=3)
-    got = apply_solver(view.x.copy(), view, choice, 0.05, L2_FREE)
-    want = conj_grad_update(view.x.copy(), view, L2_FREE, max_updates=3)
-    assert np.array_equal(got, want)
+CG_REGS = [L2_FREE, RegularizationSpec("l2", 0.8), RegularizationSpec("l1", 0.3)]
+
+
+@pytest.mark.parametrize("reg", CG_REGS)
+def test_conj_grad_matrix_rows_are_one_row_calls(reg):
+    rng = np.random.default_rng(42)
+    counts, X, fixed, s = collapse_instance(rng)
+    stats = ClampStats()
+    got = conj_grad_matrix(counts, X, fixed, s, reg, 5, stats)
+    tally = ClampStats()
+    for r in range(X.shape[0]):
+        view = row_view(counts, X, fixed, s, r)
+        assert np.array_equal(conj_grad_update(X[r], view, reg, 5, stats=tally), got[r])
+    assert stats.clamped == tally.clamped > 0
+    collapsed = (got == 0.0).all(axis=1) & (X > 0.0).all(axis=1) & (np.diff(counts.indptr) > 0)
+    assert collapsed.any()  # rows that start positive, have entries and end all-zero
+
+
+def test_conj_grad_matrix_matches_reference_iterates():
+    # few updates: the same decisions, so the iterates agree to rounding
+    rng = np.random.default_rng(43)
+    worst = 0.0
+    for trial in range(60):
+        counts, X, fixed, s = collapse_instance(rng, r=50, c=int(rng.integers(5, 80)))
+        reg = CG_REGS[trial % 3]
+        updates = int(rng.integers(1, 6))
+        stats = ClampStats()
+        got = conj_grad_matrix(counts, X, fixed, s, reg, updates, stats)
+        tally = ClampStats()
+        for r in range(X.shape[0]):
+            want = reference_cg(X[r], row_view(counts, X, fixed, s, r), reg, updates, tally)
+            scale = max(float(np.abs(want).max()), 1e-300)
+            worst = max(worst, float(np.abs(got[r] - want).max()) / scale)
+        assert stats.clamped == tally.clamped
+    assert worst <= 1e-12
+
+
+def test_conj_grad_matrix_matches_reference_objective():
+    # near the optimum Armijo accepts decided at rounding level let the
+    # iterates drift apart; the objectives they reach still agree
+    rng = np.random.default_rng(44)
+    for trial in range(12):
+        counts, X, fixed, s = collapse_instance(rng, r=30, c=int(rng.integers(5, 40)))
+        reg = CG_REGS[trial % 3]
+        updates = (10, 20, 30)[trial % 3]
+        got = conj_grad_matrix(counts, X, fixed, s, reg, updates)
+        for r in range(X.shape[0]):
+            view = row_view(counts, X, fixed, s, r)
+            want = joint_objective(reference_cg(X[r], view, reg, updates), view, reg)
+            have = joint_objective(got[r], view, reg)
+            assert abs(have - want) <= 1e-10 * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------- determinism and config
 
 
 def test_solver_runs_are_deterministic():
@@ -373,9 +480,3 @@ def test_solver_choice_validation():
         SolverChoice(tau=0)
     with pytest.raises(ConfigError, match="max_updates"):
         SolverChoice(max_updates=0)
-    with pytest.raises(ConfigError, match="armijo_c"):
-        SolverChoice(armijo_c=1.5)
-    with pytest.raises(ConfigError, match="armijo_shrink"):
-        SolverChoice(armijo_shrink=0.0)
-    with pytest.raises(ConfigError, match="max_backtracks"):
-        SolverChoice(max_backtracks=0)
