@@ -2,9 +2,9 @@
 
 Per-user metrics (precision at a cutoff, AUC) rank only the items absent from
 that user's training history, with the user's test items as the positive
-class; they are averaged over a seeded random sample of users. The global
-metrics (Pearson correlation between predictions and held-out counts, and the
-test Poisson log-likelihood) pool the entire test set, not the sample.
+class; they are averaged over a seeded random sample of users. AUC takes its
+midranks from binary searches in the sorted negatives. The global metrics
+(Pearson correlation, test Poisson log-likelihood) pool the whole test set.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, EvaluationError
 from .poisson_core import DOT_FLOOR
@@ -118,17 +117,22 @@ def auc_user(scores: np.ndarray, positive: np.ndarray) -> float:
     """Mann-Whitney AUC over eligible items; ties count one half.
 
     ``scores`` are the predictions for the eligible items only and
-    ``positive`` is a boolean mask over them. Equals the probability that a
-    random positive outranks a random negative, with ties worth 0.5.
+    ``positive`` is a boolean mask over them. A positive's left and right
+    insertion points in the sorted negatives count the negatives below and
+    tied with it (its midrank), so the pair count is an exact integer. NaN
+    scores give NaN.
     """
-    positive = np.asarray(positive, dtype=bool)
+    scores, positive = np.asarray(scores), np.asarray(positive, dtype=bool)
     n_pos = int(positive.sum())
     n_neg = len(positive) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one positive and one negative item")
-    ranks = rankdata(np.asarray(scores))  # midranks resolve ties
-    rank_sum = float(ranks[positive].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    if np.isnan(scores).any():
+        return math.nan
+    neg, pos = np.sort(scores[~positive]), scores[positive]
+    below = np.searchsorted(neg, pos, side="left")
+    ties = np.searchsorted(neg, pos, side="right") - below
+    return (int(below.sum()) + 0.5 * int(ties.sum())) / (n_pos * n_neg)
 
 
 def pearson_rho(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -151,16 +155,19 @@ def test_loglik(model: FactorModel, test: list[tuple[int, int, float]]) -> float
     """
     if not test:
         return 0.0
-    users, items, counts = _test_arrays(test)
-    dots = np.einsum("ij,ij->i", model.A[users], model.B[items])
+    return _loglik(*_heldout(model, test)[2:])
+
+
+def _loglik(counts: np.ndarray, dots: np.ndarray) -> float:
     return float(-dots.sum() + counts @ np.log(np.maximum(dots, DOT_FLOOR)))
 
 
-def _test_arrays(test: list[tuple[int, int, float]]):
+def _heldout(model: FactorModel, test: list[tuple[int, int, float]]):
+    """Users, items and counts of the held-out triples, and their predictions."""
     users = np.fromiter((t[0] for t in test), dtype=np.int64, count=len(test))
     items = np.fromiter((t[1] for t in test), dtype=np.int64, count=len(test))
     counts = np.fromiter((t[2] for t in test), dtype=np.float64, count=len(test))
-    return users, items, counts
+    return users, items, counts, np.einsum("ij,ij->i", model.A[users], model.B[items])
 
 
 def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConfig()) -> EvalReport:
@@ -179,13 +186,12 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
             f"model is {model.m} x {model.n} but the split is "
             f"{split.train.m} x {split.train.n}"
         )
-    users, items, counts = _test_arrays(split.test)
-    predictions = np.einsum("ij,ij->i", model.A[users], model.B[items])
+    users, items, counts, predictions = _heldout(model, split.test)
     try:
         rho = pearson_rho(predictions, counts)
     except EvaluationError:  # zero variance: undefined, but p@k and AUC are not
         rho = math.nan
-    loglik = test_loglik(model, split.test)
+    loglik = _loglik(counts, predictions)
 
     test_users = np.unique(users)
     if len(test_users) > config.sample_users:
@@ -195,34 +201,27 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
     else:
         sampled = test_users
 
-    # group test items by user once; ascending user order
+    # held-out items of the sampled users: slices of the user-sorted entries
     order = np.argsort(users, kind="stable")
-    sorted_users = users[order]
-    starts = np.searchsorted(sorted_users, test_users, side="left")
-    ends = np.searchsorted(sorted_users, test_users, side="right")
-    positives_of = {
-        int(u): items[order[starts[j] : ends[j]]] for j, u in enumerate(test_users)
-    }
+    sorted_users, sorted_items = users[order], items[order]
+    starts = np.searchsorted(sorted_users, sampled, side="left").tolist()
+    ends = np.searchsorted(sorted_users, sampled, side="right").tolist()
 
     n = split.train.n
-    p_sum = 0.0
-    auc_sum = 0.0
-    evaluated = 0
-    skipped = 0
-    for u in sampled:
-        positives = positives_of[int(u)]
-        train_items = split.train.row(int(u))[0]
+    p_sum = auc_sum = 0.0
+    evaluated = skipped = 0
+    for u, lo, hi in zip(sampled.tolist(), starts, ends):
+        positives = sorted_items[lo:hi]
+        train_items = split.train.row(u)[0]
         eligible = np.ones(n, dtype=bool)
         eligible[train_items] = False
         positive_mask = np.zeros(n, dtype=bool)
         positive_mask[positives] = True
         elig_pos = positive_mask[eligible]
-        n_pos = int(elig_pos.sum())
-        n_neg = int(eligible.sum()) - n_pos
-        if n_pos == 0 or n_neg == 0:
+        if elig_pos.all() or not elig_pos.any():  # no eligible negative or positive
             skipped += 1
             continue
-        scores = score_user(model, int(u))
+        scores = score_user(model, u)
         p_sum += precision_at_k(scores, positives, config.cutoff, train_items)
         auc_sum += auc_user(scores[eligible], elig_pos)
         evaluated += 1

@@ -51,8 +51,8 @@ class RegularizationSpec:
     def __post_init__(self):
         if self.kind not in ("l2", "l1"):
             raise ConfigError(f"regularization kind must be 'l2' or 'l1', got {self.kind!r}")
-        if not self.lam >= 0.0:
-            raise ConfigError(f"regularization strength must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < float("inf"):
+            raise ConfigError(f"regularization strength must be finite and >= 0, got {self.lam}")
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,7 @@ class IdMap:
                     if not line:
                         continue
                     try:
-                        tok, idx = line.split("\t")
+                        tok, idx = line.rsplit("\t", 1)  # tokens may hold tabs
                         pairs.append((tok, int(idx)))
                     except ValueError:
                         raise ParseError(f"bad id-map record in {path}", line_no) from None

@@ -53,10 +53,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if not self.lam >= 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 < self.alpha < float("inf"):
+            raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
+        if not 0 <= self.lam < float("inf"):
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
         if not 0 <= self.seed < 2**63:

@@ -183,6 +183,14 @@ def test_train_bad_flag_value_exits_2(workspace, capsys):
     assert "k must be" in capsys.readouterr().err
 
 
+def test_train_nonfinite_lambda_exits_2(workspace, capsys):
+    model_path = workspace / "m.bin"
+    code = main(train_args(workspace / "out" / "train.csv", model_path)[:3] + ["--lambda", "inf"])
+    assert code == 2
+    assert "lambda must be finite" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
 # ---------------------------------------------------------------- evaluate
 
 

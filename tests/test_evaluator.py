@@ -6,6 +6,10 @@ protocol against a three-user split small enough to rank by hand.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +167,16 @@ def test_auc_extremes():
     assert auc_user(np.array([1.0, 1.0, 1.0]), np.array([True, False, False])) == 0.5
 
 
+def auc_midrank_oracle(scores, positive):
+    """The rank-sum form of the AUC, with midranks from scipy.stats.rankdata."""
+    from scipy.stats import rankdata
+
+    n_pos = int(positive.sum())
+    n_neg = len(positive) - n_pos
+    rank_sum = float(rankdata(scores)[positive].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def test_auc_random_matches_pair_counting():
     rng = np.random.default_rng(62)
     for _ in range(100):
@@ -174,6 +188,20 @@ def test_auc_random_matches_pair_counting():
         got = auc_user(scores, positive)
         want = auc_pairs_oracle(scores[positive], scores[~positive])
         assert abs(got - want) <= 1e-12
+        assert got == auc_midrank_oracle(scores, positive)
+    # catalogue scale: few positives among thousands of items, heavy ties
+    for _ in range(40):
+        n = int(rng.integers(50, 5001))
+        scores = np.round(rng.gamma(0.5, 4.0, size=n))
+        positive = np.zeros(n, dtype=bool)
+        positive[rng.choice(n, size=int(rng.integers(1, 21)), replace=False)] = True
+        got = auc_user(scores, positive)
+        pos, neg = scores[positive], scores[~positive]
+        wins = (pos[:, None] > neg).sum() + 0.5 * (pos[:, None] == neg).sum()
+        assert abs(got - wins / (len(pos) * len(neg))) <= 1e-12
+        assert got == auc_midrank_oracle(scores, positive)
+    scores = np.array([0.3, np.nan, 0.1, 0.7])
+    assert math.isnan(auc_user(scores, np.array([True, False, False, True])))
 
 
 def test_auc_invariant_under_monotone_transform():
@@ -187,6 +215,16 @@ def test_auc_invariant_under_monotone_transform():
 def test_auc_requires_both_classes():
     with pytest.raises(ValueError, match="positive and .* negative"):
         auc_user(np.array([1.0, 2.0]), np.array([True, True]))
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats costs about a second and 50 MB on import; the package
+    # needs only numpy and scipy.sparse
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, poisfact; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- pooled metrics

@@ -307,6 +307,8 @@ def test_regularization_spec_validation():
         RegularizationSpec("l2", -1.0)
     with pytest.raises(ConfigError):
         RegularizationSpec("l2", float("nan"))
+    with pytest.raises(ConfigError, match="finite"):
+        RegularizationSpec("l1", float("inf"))
 
 
 # ---------------------------------------------------------------- full objective

@@ -208,12 +208,13 @@ def test_idmap_rejects_duplicates():
 
 
 def test_idmap_save_load_roundtrip(tmp_path):
-    id_map = IdMap(["x", "y", "z"], ["a", "b"])
+    # a CSV token may hold a tab, which is also the map's column separator
+    id_map = IdMap(["x", "y\tw", "z"], ["a", "b"])
     up, ip = str(tmp_path / "users.map"), str(tmp_path / "items.map")
     id_map.save(up, ip)
     loaded = IdMap.load(up, ip)
     assert loaded.n_users == 3 and loaded.n_items == 2
-    for tok in ("x", "y", "z"):
+    for tok in ("x", "y\tw", "z"):
         assert loaded.user_index(tok) == id_map.user_index(tok)
 
 

@@ -361,6 +361,9 @@ def test_train_config_validation():
         {"alpha": 0.0},
         {"alpha": -1e-3},
         {"lam": -1.0},
+        {"lam": float("inf")},
+        {"lam": float("inf"), "reg": "l1"},
+        {"alpha": float("inf")},
         {"iters": 0},
         {"reg": "ridge"},
         {"seed": -5},
