@@ -2,9 +2,11 @@
 
 Per-user metrics (precision at a cutoff, AUC) rank only the items absent from
 that user's training history, with the user's test items as the positive
-class; they are averaged over a seeded random sample of users. AUC takes its
-midranks from binary searches in the sorted negatives. The global metrics
-(Pearson correlation, test Poisson log-likelihood) pool the whole test set.
+class; they are averaged over a seeded random sample of users. Neither sorts
+the catalogue by score: precision counts hits below a partition threshold,
+and AUC takes its midranks from binary searches in the sorted negatives. The
+global metrics (Pearson correlation, test Poisson log-likelihood) pool the
+whole test set.
 """
 
 from __future__ import annotations
@@ -85,8 +87,15 @@ def top_n_unseen(scores: np.ndarray, seen: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n best-scored items outside ``seen``, best first.
 
     Ties are broken by ascending item index; when fewer than n items are
-    eligible, all of them are returned.
+    eligible, all of them are returned. An n below 1 raises ValueError.
+
+    Serves single-user recommend only. A stable sort of the eligible items
+    stays here because a partition-threshold version was slower on the
+    all-tied scores of collapsed (all-zero) user rows; ``precision_at_k``,
+    which needs counts rather than an order, uses the threshold.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     eligible = np.ones(len(scores), dtype=bool)
     eligible[seen] = False
     candidates = np.flatnonzero(eligible)
@@ -104,13 +113,34 @@ def precision_at_k(
     """Fraction of the top-k eligible items that are positives.
 
     ``scores`` covers all n items; items in ``train_items`` are excluded
-    before ranking. Ties are broken by ascending item index. When fewer than
-    k eligible items exist the fraction is over the items actually ranked.
+    before ranking. When fewer than k eligible items exist the fraction is
+    over the items actually ranked; a k below 1 raises ValueError.
+
+    The top k are found without a sort: v, the k-th smallest negated score
+    (``np.partition``), splits the eligible items into those strictly above
+    the threshold, all of them in, and those tied at it, taken in ascending
+    item index until k are in. NaN scores rank after every number, ties among
+    them by ascending index. This selects exactly the items of a stable sort
+    on the negated scores.
     """
-    top = top_n_unseen(np.asarray(scores), np.asarray(train_items, dtype=np.int64), k)
-    if len(top) == 0:
-        return 0.0
-    return float(np.isin(top, np.asarray(positives, dtype=np.int64)).mean())
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    scores = np.asarray(scores)
+    eligible = np.ones(len(scores), dtype=bool)
+    eligible[np.asarray(train_items, dtype=np.int64)] = False
+    positive = np.zeros(len(scores), dtype=bool)
+    positive[np.asarray(positives, dtype=np.int64)] = True
+    key, hit = -scores[eligible], positive[eligible]
+    if k >= len(key):
+        return float(hit.mean()) if len(key) else 0.0
+    v = np.partition(key, k - 1)[k - 1]
+    if np.isnan(v):  # fewer than k numbers: all of them, then the first NaNs
+        tied = np.isnan(key)
+        above = ~tied
+    else:
+        above, tied = key < v, key == v
+    rest = k - int(np.count_nonzero(above))
+    return (int(np.count_nonzero(hit & above)) + int(np.count_nonzero(hit[tied][:rest]))) / k
 
 
 def auc_user(scores: np.ndarray, positive: np.ndarray) -> float:

@@ -126,6 +126,12 @@ def training_objective(
     return full_objective(data, model.A, model.B, reg)
 
 
+_COLLAPSE_HINT = (
+    "the regularization (lambda) is too strong, or the step diverged and "
+    "needs a smaller step size (alpha)"
+)
+
+
 def _check_finite(matrix: np.ndarray, side: str) -> None:
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if len(bad):
@@ -153,7 +159,8 @@ def train(
         half and the first non-finite row. No partially trained model is
         returned.
     DegenerateModelError
-        When training ends with an entirely zero factor matrix.
+        When training ends with an entirely zero factor matrix, or at the
+        first iteration after which both matrices are all-zero.
     """
     if data.nnz == 0:
         raise DataError("cannot train on a dataset with no entries")
@@ -196,6 +203,15 @@ def train(
                 f"training failed at iteration {t}: {exc}; "
                 "try a smaller step size (alpha) or stronger regularization (lambda)"
             ) from exc
+        # Both all-zero is a fixed point of either solver (column sums and data
+        # gradient vanish), so the run can only end degenerate. One all-zero
+        # matrix can be refilled by the next half through floored dots, and is
+        # judged after the last iteration.
+        if not model.A.any() and not model.B.any():
+            raise DegenerateModelError(
+                f"training collapsed at iteration {t}: both factor matrices are "
+                f"all-zero after its item half; {_COLLAPSE_HINT}"
+            )
 
         before = clamps.clamped
         objective = full_objective(data, model.A, model.B, reg, clamps, dots_out=dots)
@@ -209,10 +225,9 @@ def train(
         if progress is not None:
             progress(t, objective, elapsed)
 
-    if (model.A == 0).all() or (model.B == 0).all():
+    if not model.A.any() or not model.B.any():
         raise DegenerateModelError(
-            "training collapsed to an all-zero factor matrix; "
-            "weaken the regularization (lambda) or enlarge the step size (alpha)"
+            f"training collapsed to an all-zero factor matrix; {_COLLAPSE_HINT}"
         )
 
     # Zero rows among rows that do have training entries signal a failed fit;

@@ -1,7 +1,7 @@
 """Ranking metrics, pooled metrics, and the evaluation protocol.
 
 AUC is checked against explicit pair counting, precision against an explicit
-top-k selection, the correlation against a two-pass implementation, and the
+top-k selection and, exactly, against a stable sort of the whole catalogue, the correlation against a two-pass implementation, and the
 protocol against a three-user split small enough to rank by hand.
 """
 
@@ -151,6 +151,64 @@ def test_precision_random_matches_explicit_selection():
         k = int(rng.integers(1, 8))
         got = precision_at_k(scores, positives, k, train_items)
         assert got == topk_oracle(scores, positives, k, train_items)
+
+
+def argsort_precision_oracle(scores, positives, k, train_items):
+    """Hit share of the first k eligible items of a stable sort on -scores."""
+    eligible = np.setdiff1d(np.arange(len(scores)), train_items)
+    top = eligible[np.argsort(-scores[eligible], kind="stable")[:k]]
+    return float(np.isin(top, positives).mean()) if len(top) else 0.0
+
+
+def test_precision_matches_stable_argsort_exactly():
+    rng = np.random.default_rng(69)
+    nan = math.nan
+    fixed = [
+        (np.array([nan, nan, 1.0]), [0], 2, []),
+        (np.array([nan, nan, 1.0]), [1], 2, []),
+        (np.array([nan, 0.4, nan, nan, 0.2]), [3], 3, [1]),
+        (np.array([0.3, nan, 0.3]), [1], 2, []),
+        (np.array([-0.0, 0.0, -0.0, 0.0, 1.0]), [1, 2], 3, []),
+        (np.full(8, 0.25), [5, 6], 3, [0]),
+        (np.array([0.1, 0.2, 0.3]), [2], 5, [0]),
+        (np.array([0.1, 0.2, 0.3]), [1], 5, [0, 1, 2]),
+    ]
+    for scores, positives, k, train_items in fixed:
+        got = precision_at_k(scores, np.array(positives), k, np.array(train_items, dtype=int))
+        assert got == argsort_precision_oracle(scores, positives, k, train_items)
+    for trial in range(600):
+        n = int(rng.integers(1, 60))
+        kind = trial % 6
+        if kind == 0:
+            scores = rng.random(n)
+        elif kind == 1:
+            scores = np.round(rng.random(n), 1)
+        elif kind == 2:
+            scores = np.full(n, 0.7)
+        elif kind == 3:
+            scores = rng.choice([-0.0, 0.0, 0.5], size=n)
+        elif kind == 4:
+            scores = np.round(rng.random(n), 1)
+            scores[rng.random(n) < 0.3] = nan
+        else:
+            scores = rng.choice([nan, -0.0, 0.0, 1.0], size=n)
+        train_items = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        positives = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        k = int(rng.integers(1, n + 3))
+        got = precision_at_k(scores, positives, k, train_items)
+        assert got == argsort_precision_oracle(scores, positives, k, train_items)
+
+
+def test_precision_rejects_cutoff_below_one():
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            precision_at_k(np.arange(10.0), np.array([9]), k, np.array([], dtype=int))
+
+
+def test_top_n_unseen_rejects_count_below_one():
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            top_n_unseen(np.arange(10.0), np.array([], dtype=int), n)
 
 
 # ---------------------------------------------------------------- auc
@@ -364,6 +422,47 @@ def test_evaluate_matches_per_user_oracles_on_trained_model():
     assert report.users_evaluated == len(p_vals)
     assert report.p_at_k == pytest.approx(float(np.mean(p_vals)), abs=1e-12)
     assert report.auc == pytest.approx(float(np.mean(auc_vals)), abs=1e-12)
+
+
+def test_evaluate_matches_sorting_formula_on_tied_factors():
+    # integer-valued factors with zero rows: many exactly tied scores, and
+    # all-zero score vectors; every report field must equal a per-user loop
+    # of the sort-based formula (top_n_unseen + auc_user) bit for bit
+    rng = np.random.default_rng(70)
+    m, n = 40, 60
+    X = (rng.random((m, n)) < 0.3) * rng.integers(1, 4, size=(m, n))
+    users, items = np.nonzero(X)
+    data = SparseInteractions.from_entries(users, items, X[users, items].astype(float), m, n)
+    split = split_train_test(data, 0.3, 2, seed=5)
+    A = rng.integers(0, 3, size=(m, 3)).astype(float)
+    B = rng.integers(0, 3, size=(n, 3)).astype(float)
+    A[::4] = 0.0
+    B[::7] = 0.0
+    model = FactorModel(A, B, 3)
+    for cutoff in (1, 5, 70):
+        report = evaluate(model, split, EvalConfig(cutoff=cutoff, sample_users=1000, seed=0))
+        p_sum = auc_sum = 0.0
+        evaluated = skipped = 0
+        for u in sorted({u for u, _, _ in split.test}):
+            positives = np.array(sorted({i for uu, i, _ in split.test if uu == u}))
+            train_items = split.train.row(u)[0]
+            eligible = np.setdiff1d(np.arange(n), train_items)
+            is_pos = np.isin(eligible, positives)
+            if is_pos.all() or not is_pos.any():
+                skipped += 1
+                continue
+            scores = score_user(model, u)
+            top = top_n_unseen(scores, train_items, cutoff)
+            p_sum += float(np.isin(top, positives).mean())
+            auc_sum += auc_user(scores[eligible], is_pos)
+            evaluated += 1
+        preds = np.array([model.A[u] @ model.B[i] for u, i, _ in split.test])
+        counts = np.array([x for _, _, x in split.test])
+        assert report.p_at_k == p_sum / evaluated
+        assert report.auc == auc_sum / evaluated
+        assert report.pearson_rho == pearson_rho(preds, counts)
+        assert report.test_loglik == heldout_loglik(model, split.test)
+        assert (report.users_evaluated, report.users_skipped) == (evaluated, skipped)
 
 
 def test_evaluate_sampling_is_capped_and_deterministic():

@@ -355,6 +355,36 @@ def test_train_degenerate_model_rejected():
         train(data, config)
 
 
+def test_train_degenerate_model_raised_at_the_collapsing_iteration():
+    # the user half zeroes A at iteration 0 and the item half, with A zero,
+    # zeroes B: a fixed point, so training stops there instead of running
+    # the remaining iterations, and names both possible causes
+    rng = np.random.default_rng(60)
+    data = random_data(rng, m=6, n=5, density=0.5)
+    config = TrainConfig(k=2, alpha=1.0, lam=1e6, iters=5, reg="l1", seed=2)
+    calls = []
+    with pytest.raises(DegenerateModelError, match="iteration 0: both factor matrices are all-zero after its item half") as err:
+        train(data, config, progress=lambda *args: calls.append(args))
+    assert calls == []
+    message = str(err.value)
+    assert "training failed" not in message  # not re-wrapped as a plain numeric failure
+    assert "lambda" in message and "smaller step size (alpha)" in message
+    assert "enlarge" not in message
+
+
+def test_train_ending_on_an_all_zero_matrix_is_rejected():
+    # a single all-zero matrix is judged after the last iteration: the item
+    # half of iteration 1 zeroes B while A stays nonzero
+    rng = np.random.default_rng(0)
+    data = random_data(rng, m=20, n=15, density=0.3)
+    config = TrainConfig(k=3, alpha=0.2, lam=1.0, iters=2, reg="l1", seed=0, solver=SolverChoice(tau=1))
+    calls = []
+    with pytest.raises(DegenerateModelError, match="all-zero factor matrix") as err:
+        train(data, config, progress=lambda *args: calls.append(args))
+    assert [c[0] for c in calls] == [0, 1]
+    assert "smaller step size (alpha)" in str(err.value) and "enlarge" not in str(err.value)
+
+
 def test_train_config_validation():
     for kwargs in (
         {"k": 0},
