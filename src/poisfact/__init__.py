@@ -53,9 +53,9 @@ from .poisson_core import (
 )
 from .sparse_data import (
     IdMap,
-    RawTriplet,
     SparseInteractions,
     SplitPair,
+    Triplets,
     build_interactions,
     parse_triplets,
     read_triplet_file,
@@ -116,9 +116,9 @@ __all__ = [
     "prox_l2",
     "prox_operator",
     "IdMap",
-    "RawTriplet",
     "SparseInteractions",
     "SplitPair",
+    "Triplets",
     "build_interactions",
     "parse_triplets",
     "read_triplet_file",

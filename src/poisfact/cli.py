@@ -251,15 +251,19 @@ def cmd_evaluate(args) -> int:
     _check_model_matches(model, data)
     delimiter = _DELIMITERS[args.format]
     raw_test = read_triplet_file(args.test, delimiter, args.header)
-    test = []
-    dropped = 0
-    for trip in raw_test:
-        if id_map.has_user(trip.user) and id_map.has_item(trip.item):
-            test.append(
-                (id_map.user_index(trip.user), id_map.item_index(trip.item), trip.count)
-            )
-        else:
-            dropped += 1
+    # each distinct test token is looked up once; -1 marks one unknown to training
+    user_of = np.array(
+        [id_map.user_index(t) if id_map.has_user(t) else -1 for t in raw_test.user_tokens],
+        dtype=np.int64,
+    )
+    item_of = np.array(
+        [id_map.item_index(t) if id_map.has_item(t) else -1 for t in raw_test.item_tokens],
+        dtype=np.int64,
+    )
+    users, items = user_of[raw_test.users], item_of[raw_test.items]
+    known = (users >= 0) & (items >= 0)
+    test = list(zip(users[known].tolist(), items[known].tolist(), raw_test.counts[known].tolist()))
+    dropped = len(raw_test) - int(known.sum())
     if dropped:
         print(
             f"note: dropped {dropped} test entries with ids not present in the training data",

@@ -1,29 +1,58 @@
 """Triplet ingestion, id remapping, dual sparse storage, and train/test splits.
 
 Interaction data arrives as (user, item, count) triplets with opaque string
-identifiers. This module remaps identifiers to contiguous integer indices,
-stores the count matrix simultaneously in row-sparse and column-sparse form
-(the trainer walks users by row and items by column), and produces the
-entry-wise random holdout split used for evaluation.
+identifiers. This module reads them in fixed-size chunks into columns (token
+codes and counts, not one Python object per line), remaps identifiers to
+contiguous integer indices in first-appearance order, stores the count matrix
+simultaneously in row-sparse and column-sparse form (the trainer walks users
+by row and items by column), and produces the entry-wise random holdout split
+used for evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, TextIO
+from itertools import compress, repeat
+from typing import Iterable, TextIO
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, DataMismatchError, ParseError
 
+# Characters of text the parser reads at a time: its working memory beyond the
+# output columns and token tables is bounded by this, not by the file size.
+CHUNK_BYTES = 1 << 20
 
-class RawTriplet(NamedTuple):
-    """One parsed input record. Zero counts are rejected; zeros stay implicit."""
 
-    user: str
-    item: str
-    count: float
+@dataclass(frozen=True, eq=False)
+class Triplets:
+    """Parsed (user, item, count) records held as columns.
+
+    ``user_tokens`` and ``item_tokens`` are the distinct tokens in
+    first-appearance order; ``users`` and ``items`` are int64 codes into them
+    and ``counts`` the float64 counts, one entry per kept line in file order.
+    Zero counts are rejected (zeros stay implicit), and duplicate (user, item)
+    pairs are kept here and merged by :func:`build_interactions`.
+    """
+
+    user_tokens: tuple[str, ...]
+    item_tokens: tuple[str, ...]
+    users: np.ndarray
+    items: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+
+class _NonFiniteMerge(ValueError):
+    """Summed duplicates of one (user, item) pair left the float64 range."""
+
+    def __init__(self, user: int, item: int):
+        super().__init__(f"merged count of entry ({user}, {item}) is not finite")
+        self.user = user
+        self.item = item
 
 
 class IdMap:
@@ -146,7 +175,9 @@ class SparseInteractions:
 
         Duplicate (u, i) pairs are summed. Dimensions may exceed the largest
         index present, which leaves trailing empty rows or columns; an empty
-        entry list yields an all-zero matrix of the given shape.
+        entry list yields an all-zero matrix of the given shape. Raises
+        ValueError on unequal lengths, a count that is not positive and
+        finite, an index out of range, or duplicates whose sum overflows.
         """
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
@@ -161,6 +192,11 @@ class SparseInteractions:
         csr = sp.coo_matrix((counts, (users, items)), shape=(m, n)).tocsr()
         csr.sum_duplicates()
         csr.sort_indices()
+        finite = np.isfinite(csr.data)
+        if not finite.all():
+            j = int(np.argmin(finite))  # the first merged entry that overflowed
+            u = int(np.searchsorted(csr.indptr, j, side="right")) - 1
+            raise _NonFiniteMerge(u, int(csr.indices[j]))
         csc = csr.tocsc()
         csc.sort_indices()
         return cls(csr, csc)
@@ -226,71 +262,187 @@ class SplitPair:
     test: list[tuple[int, int, float]]
 
 
-def parse_triplets(
-    source: TextIO | Iterable[str],
-    delimiter: str = ",",
-    has_header: bool = False,
-) -> list[RawTriplet]:
-    """Parse a delimited character stream into raw triplets.
+def _is_utf8(text: str) -> bool:
+    """Whether text encodes as UTF-8; lone surrogates, which stand for bytes
+    that were not UTF-8 in a file read by :func:`read_triplet_file`, do not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _parse_line(line: str, line_no: int, delimiter: str) -> tuple[str, str, float] | None:
+    """The per-line rule: (user, item, count) of one line, or None for a blank one.
+
+    The line must carry at least three fields: user token, item token, and a
+    positive finite count. Extra fields are ignored.
+    """
+    if not _is_utf8(line):
+        raise ParseError("line is not valid UTF-8", line_no)
+    line = line.rstrip("\r\n")
+    if not line.strip():
+        return None
+    fields = line.split(delimiter)
+    if len(fields) < 3:
+        raise ParseError(f"expected at least 3 fields, got {len(fields)}", line_no)
+    user, item, raw_count = fields[0].strip(), fields[1].strip(), fields[2].strip()
+    if not user:
+        raise ParseError("empty user id", line_no)
+    if not item:
+        raise ParseError("empty item id", line_no)
+    try:
+        count = float(raw_count)
+    except ValueError:
+        raise ParseError(f"count is not a number: {raw_count!r}", line_no) from None
+    if not np.isfinite(count):
+        raise ParseError(f"count is not finite: {raw_count!r}", line_no)
+    if count <= 0:
+        raise ParseError(f"count must be positive, got {raw_count!r}", line_no)
+    return user, item, count
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return float("nan")
+
+
+def _split_regular(
+    lines: list[str], width: int, delimiter: str
+) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+    """Tokens and counts of lines holding ``width`` fields each, and a mask of those valid.
+
+    The lines' text is joined, its newlines become delimiters, and one
+    ``split`` yields every field. A line is valid when both tokens are
+    nonempty after stripping and its count is a positive finite number
+    (``float`` ignores the whitespace ``strip`` removes). If the fields do
+    not line up (a line ended by something other than ``"\\n"``) or the text
+    is not UTF-8, no line is valid.
+    """
+    n = len(lines)
+    text = "".join(lines)
+    fields = text.replace("\n", delimiter).split(delimiter)
+    if len(fields) - n * width not in (0, 1) or not (text.isascii() or _is_utf8(text)):
+        return [""] * n, [""] * n, np.zeros(n), np.zeros(n, dtype=bool)
+    end = n * width
+    users = list(map(str.strip, fields[0:end:width]))
+    items = list(map(str.strip, fields[1:end:width]))
+    try:
+        counts = np.fromiter(map(float, fields[2:end:width]), np.float64, n)
+    except ValueError:
+        counts = np.fromiter(map(_float_or_nan, fields[2:end:width]), np.float64, n)
+    valid = np.isfinite(counts) & (counts > 0)
+    if not (all(users) and all(items)):
+        valid &= np.fromiter(map(bool, users), bool, n) & np.fromiter(map(bool, items), bool, n)
+    return users, items, counts, valid
+
+
+def _parse_chunk(
+    lines: list[str], first_line_no: int, delimiter: str
+) -> tuple[list[str], list[str], np.ndarray]:
+    """User tokens, item tokens and counts of one chunk's kept lines, in line order.
+
+    Lines with the chunk's median number of delimiters (at least two) are
+    screened all at once by :func:`_split_regular`. Every line that fails the
+    screen (a blank line, a short or long line, an empty token, a bad
+    count) goes through :func:`_parse_line`, in line order, so its skips and
+    its ParseError are exactly those of the per-line rule.
+    """
+    n_delims = np.fromiter(map(str.count, lines, repeat(delimiter)), np.int64, len(lines))
+    width = max(int(np.median(n_delims)), 2) + 1
+    rows = np.flatnonzero(n_delims == width - 1)
+    regular = lines if len(rows) == len(lines) else [lines[r] for r in rows.tolist()]
+    users, items, counts, valid = _split_regular(regular, width, delimiter)
+    if len(rows) == len(lines) and valid.all():
+        return users, items, counts
+    kept = rows[valid].tolist()
+    users, items = list(compress(users, valid)), list(compress(items, valid))
+    counts = counts[valid].tolist()
+    screened = np.zeros(len(lines), dtype=bool)
+    screened[kept] = True
+    for r in np.flatnonzero(~screened).tolist():
+        parsed = _parse_line(lines[r], first_line_no + r, delimiter)
+        if parsed is not None:
+            kept.append(r)
+            users.append(parsed[0])
+            items.append(parsed[1])
+            counts.append(parsed[2])
+    order = np.argsort(kept).tolist()
+    return [users[j] for j in order], [items[j] for j in order], np.array(counts)[order]
+
+
+def _codes(tokens: list[str], index: dict[str, int]) -> np.ndarray:
+    """Codes of ``tokens``; tokens new to ``index`` take the next codes in order of appearance."""
+    new = [token for token in dict.fromkeys(tokens) if token not in index]
+    index.update(zip(new, range(len(index), len(index) + len(new))))
+    return np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+
+
+def parse_triplets(source: TextIO, delimiter: str = ",", has_header: bool = False) -> Triplets:
+    """Parse a delimited text stream into columns.
 
     Each line must carry at least three fields: user token, item token, and a
     positive count. Extra fields are ignored. Blank lines are skipped.
     Duplicate (user, item) pairs are preserved here and merged later by
     :func:`build_interactions`.
 
+    The stream is read with ``readlines(CHUNK_BYTES)``, one chunk of lines
+    at a time, and each chunk becomes code and count arrays, so memory per
+    input line is a few array entries rather than a Python object. Lines must
+    end in ``"\\n"``, as they do from a file opened with the default newline
+    handling or from ``io.StringIO``.
+
     Raises
     ------
     ParseError
-        On a malformed line, an empty token, or a count that is not a
-        positive finite number; the message carries the line number.
+        On a malformed line, an empty token, a count that is not a positive
+        finite number, or text that is not UTF-8 (see
+        :func:`read_triplet_file`); the message carries the number of the
+        first such line.
     """
-    triplets = []
-    for line_no, line in enumerate(source, start=1):
-        if has_header and line_no == 1:
-            continue
-        line = line.rstrip("\r\n")
-        if not line.strip():
-            continue
-        fields = line.split(delimiter)
-        if len(fields) < 3:
-            raise ParseError(f"expected at least 3 fields, got {len(fields)}", line_no)
-        user, item, raw_count = fields[0].strip(), fields[1].strip(), fields[2].strip()
-        if not user:
-            raise ParseError("empty user id", line_no)
-        if not item:
-            raise ParseError("empty item id", line_no)
-        try:
-            count = float(raw_count)
-        except ValueError:
-            raise ParseError(f"count is not a number: {raw_count!r}", line_no) from None
-        if not np.isfinite(count):
-            raise ParseError(f"count is not finite: {raw_count!r}", line_no)
-        if count <= 0:
-            raise ParseError(f"count must be positive, got {raw_count!r}", line_no)
-        triplets.append(RawTriplet(user, item, count))
-    return triplets
-
-
-def build_interactions(triplets: list[RawTriplet]) -> tuple[SparseInteractions, IdMap]:
-    """Assign contiguous ids in first-appearance order and build both views.
-
-    Duplicate (user, item) pairs are merged by summing their counts.
-    """
-    if not triplets:
-        raise DataError("empty dataset: no triplets to build from")
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    users = np.empty(len(triplets), dtype=np.int64)
-    items = np.empty(len(triplets), dtype=np.int64)
-    counts = np.empty(len(triplets), dtype=np.float64)
-    for j, (user, item, count) in enumerate(triplets):
-        users[j] = user_index.setdefault(user, len(user_index))
-        items[j] = item_index.setdefault(item, len(item_index))
-        counts[j] = count
-    id_map = IdMap(user_index, item_index)
-    data = SparseInteractions.from_entries(
-        users, items, counts, id_map.n_users, id_map.n_items
+    users, items, counts = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    line_no = 1
+    if has_header:
+        source.readline()
+        line_no = 2
+    while lines := source.readlines(CHUNK_BYTES):
+        chunk_users, chunk_items, chunk_counts = _parse_chunk(lines, line_no, delimiter)
+        users.append(_codes(chunk_users, user_index))
+        items.append(_codes(chunk_items, item_index))
+        counts.append(chunk_counts)
+        line_no += len(lines)
+    return Triplets(
+        tuple(user_index),
+        tuple(item_index),
+        np.concatenate(users),
+        np.concatenate(items),
+        np.concatenate(counts),
     )
+
+
+def build_interactions(triplets: Triplets) -> tuple[SparseInteractions, IdMap]:
+    """Build both views and the id map of parsed triplets.
+
+    Ids keep the parser's first-appearance order. Duplicate (user, item)
+    pairs are merged by summing their counts; a sum that overflows float64
+    is a DataError naming the pair.
+    """
+    if not len(triplets):
+        raise DataError("empty dataset: no triplets to build from")
+    id_map = IdMap(triplets.user_tokens, triplets.item_tokens)
+    try:
+        data = SparseInteractions.from_entries(
+            triplets.users, triplets.items, triplets.counts, id_map.n_users, id_map.n_items
+        )
+    except _NonFiniteMerge as exc:
+        raise DataError(
+            f"counts of user {id_map.user_token(exc.user)!r} and item "
+            f"{id_map.item_token(exc.item)!r} sum to more than float64 holds"
+        ) from None
     return data, id_map
 
 
@@ -358,9 +510,11 @@ def write_triplet_file(
             )
 
 
-def read_triplet_file(
-    path: str, delimiter: str = ",", has_header: bool = False
-) -> list[RawTriplet]:
-    """Parse a triplet file from disk; see :func:`parse_triplets`."""
-    with open(path, "r", encoding="utf-8") as fh:
+def read_triplet_file(path: str, delimiter: str = ",", has_header: bool = False) -> Triplets:
+    """Parse a triplet file from disk; see :func:`parse_triplets`.
+
+    Bytes that are not UTF-8 are kept as lone surrogates while reading, so
+    the first line holding one is a ParseError naming that line.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_triplets(fh, delimiter=delimiter, has_header=has_header)

@@ -41,6 +41,14 @@ def write_corpus(path, seed=0, m=30, n=20, density=0.4):
     return path
 
 
+def token_rows(triplets):
+    """The (user token, item token, count) records of a parsed file, in line order."""
+    return [
+        (triplets.user_tokens[u], triplets.item_tokens[i], c)
+        for u, i, c in zip(triplets.users.tolist(), triplets.items.tolist(), triplets.counts.tolist())
+    ]
+
+
 def train_args(train_path, model_path, *extra):
     return [
         "train", str(train_path), str(model_path),
@@ -74,12 +82,12 @@ def test_split_outputs_are_reproducible(tmp_path, capsys):
 
 
 def test_split_train_test_partition_parses_back(workspace):
-    full = read_triplet_file(str(workspace / "all.csv"))
-    train_part = read_triplet_file(str(workspace / "out" / "train.csv"))
-    test_part = read_triplet_file(str(workspace / "out" / "test.csv"))
-    full_pairs = {(t.user, t.item) for t in full}
-    train_pairs = {(t.user, t.item) for t in train_part}
-    test_pairs = {(t.user, t.item) for t in test_part}
+    full = token_rows(read_triplet_file(str(workspace / "all.csv")))
+    train_part = token_rows(read_triplet_file(str(workspace / "out" / "train.csv")))
+    test_part = token_rows(read_triplet_file(str(workspace / "out" / "test.csv")))
+    full_pairs = {(user, item) for user, item, _ in full}
+    train_pairs = {(user, item) for user, item, _ in train_part}
+    test_pairs = {(user, item) for user, item, _ in test_part}
     assert not train_pairs & test_pairs
     assert train_pairs <= full_pairs and test_pairs <= full_pairs
 
@@ -102,6 +110,14 @@ def test_split_malformed_line_exits_3(tmp_path, capsys):
     bad.write_text("u1,i1,2\nu2,i2,zero\n")
     assert main(["split", str(bad), str(tmp_path / "out")]) == 3
     assert "line 2" in capsys.readouterr().err
+
+
+def test_split_non_utf8_input_exits_3(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"u1,i1,1\nu\xe9,i2,2\n")
+    assert main(["split", str(bad), str(tmp_path / "out")]) == 3
+    assert "line 2: line is not valid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_error_exits_2(tmp_path):
@@ -175,6 +191,17 @@ def test_train_numeric_failure_exits_4_without_model(tmp_path, capsys):
     assert not model_path.exists()  # a failed run leaves no partial model
 
 
+def test_train_merged_overflow_exits_3_without_model(tmp_path, capsys):
+    # each count is finite, but the two lines of one pair sum past float64
+    overflow = tmp_path / "overflow.csv"
+    overflow.write_text("u1,i1,1e308\nu1,i1,1e308\n")
+    model_path = tmp_path / "model.bin"
+    code = main(["train", str(overflow), str(model_path), "--factors", "1", "--quiet"])
+    assert code == 3
+    assert "user 'u1' and item 'i1'" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
 def test_train_bad_flag_value_exits_2(workspace, capsys):
     code = main(train_args(workspace / "out" / "train.csv", workspace / "m.bin")[:3] + [
         "--factors", "0",
@@ -208,8 +235,8 @@ def test_evaluate_matches_api_evaluation(workspace, capsys):
     model, _ = load_model(str(model_path))
     data, id_map = build_interactions(read_triplet_file(str(workspace / "out" / "train.csv")))
     test = [
-        (id_map.user_index(t.user), id_map.item_index(t.item), t.count)
-        for t in read_triplet_file(str(workspace / "out" / "test.csv"))
+        (id_map.user_index(user), id_map.item_index(item), count)
+        for user, item, count in token_rows(read_triplet_file(str(workspace / "out" / "test.csv")))
     ]
     report = evaluate(
         model, SplitPair(train=data, test=test), EvalConfig(cutoff=4, seed=9)

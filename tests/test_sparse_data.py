@@ -1,18 +1,20 @@
 """Ingestion, id mapping, dual sparse views, and the holdout split."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import poisfact.sparse_data as sparse_data
 from poisfact import (
     ConfigError,
     DataError,
     DataMismatchError,
     IdMap,
     ParseError,
-    RawTriplet,
     SparseInteractions,
+    Triplets,
     build_interactions,
     parse_triplets,
     read_triplet_file,
@@ -49,9 +51,65 @@ def materialize_cols(data):
     return out
 
 
-def random_triplets(rng, n_rows, n_users=20, n_items=15):
+def reference_parse(source, delimiter=",", has_header=False):
+    """The per-line parser: (user, item, count) tuples, one per kept line.
+
+    The columnar reader must agree with it on every input, including the
+    message and line number of the first ParseError.
+    """
+    rows = []
+    for line_no, line in enumerate(source, start=1):
+        if has_header and line_no == 1:
+            continue
+        line = line.rstrip("\r\n")
+        if not line.strip():
+            continue
+        fields = line.split(delimiter)
+        if len(fields) < 3:
+            raise ParseError(f"expected at least 3 fields, got {len(fields)}", line_no)
+        user, item, raw_count = fields[0].strip(), fields[1].strip(), fields[2].strip()
+        if not user:
+            raise ParseError("empty user id", line_no)
+        if not item:
+            raise ParseError("empty item id", line_no)
+        try:
+            count = float(raw_count)
+        except ValueError:
+            raise ParseError(f"count is not a number: {raw_count!r}", line_no) from None
+        if not np.isfinite(count):
+            raise ParseError(f"count is not finite: {raw_count!r}", line_no)
+        if count <= 0:
+            raise ParseError(f"count must be positive, got {raw_count!r}", line_no)
+        rows.append((user, item, count))
+    return rows
+
+
+def rows_of(triplets):
+    """The (user token, item token, count) records of a Triplets, in line order."""
     return [
-        RawTriplet(
+        (triplets.user_tokens[u], triplets.item_tokens[i], c)
+        for u, i, c in zip(triplets.users.tolist(), triplets.items.tolist(), triplets.counts.tolist())
+    ]
+
+
+def triplets_of(rows):
+    """A Triplets holding (user, item, count) records, codes in first-appearance order."""
+    users, items = {}, {}
+    for user, item, _ in rows:
+        users.setdefault(user, len(users))
+        items.setdefault(item, len(items))
+    return Triplets(
+        tuple(users),
+        tuple(items),
+        np.array([users[u] for u, _, _ in rows], dtype=np.int64),
+        np.array([items[i] for _, i, _ in rows], dtype=np.int64),
+        np.array([c for _, _, c in rows], dtype=np.float64),
+    )
+
+
+def random_rows(rng, n_rows, n_users=20, n_items=15):
+    return [
+        (
             f"u{rng.integers(n_users)}",
             f"i{rng.integers(n_items)}",
             float(rng.integers(1, 9)),
@@ -60,12 +118,20 @@ def random_triplets(rng, n_rows, n_users=20, n_items=15):
     ]
 
 
+def random_triplets(rng, n_rows, n_users=20, n_items=15):
+    return triplets_of(random_rows(rng, n_rows, n_users, n_items))
+
+
 # ---------------------------------------------------------------- parsing
 
 
 def test_parse_two_plain_lines():
     got = parse_triplets(io.StringIO("u1,i1,3\nu2,i1,1"))
-    assert got == [RawTriplet("u1", "i1", 3.0), RawTriplet("u2", "i1", 1.0)]
+    assert rows_of(got) == [("u1", "i1", 3.0), ("u2", "i1", 1.0)]
+    assert got.user_tokens == ("u1", "u2") and got.item_tokens == ("i1",)
+    assert got.users.tolist() == [0, 1] and got.items.tolist() == [0, 0]
+    assert got.users.dtype == got.items.dtype == np.int64 and got.counts.dtype == np.float64
+    assert len(got) == 2
 
 
 def test_parse_rejects_zero_count():
@@ -94,12 +160,12 @@ def test_parse_rejects_short_and_empty_fields():
 def test_parse_header_extra_columns_and_blank_lines():
     text = "user,item,count,ts\nu1,i1,2,999\n\nu2,i1,1,888\n"
     got = parse_triplets(io.StringIO(text), has_header=True)
-    assert got == [RawTriplet("u1", "i1", 2.0), RawTriplet("u2", "i1", 1.0)]
+    assert rows_of(got) == [("u1", "i1", 2.0), ("u2", "i1", 1.0)]
 
 
 def test_parse_tab_delimiter():
     got = parse_triplets(io.StringIO("a\tb\t1.5\n"), delimiter="\t")
-    assert got == [RawTriplet("a", "b", 1.5)]
+    assert rows_of(got) == [("a", "b", 1.5)]
 
 
 def test_parse_preserves_duplicates():
@@ -111,27 +177,23 @@ def test_parse_preserves_duplicates():
 
 
 def test_build_merges_duplicates_by_summation():
-    data, _ = build_interactions(
-        [RawTriplet("u1", "i1", 2.0), RawTriplet("u1", "i1", 3.0)]
-    )
+    data, _ = build_interactions(triplets_of([("u1", "i1", 2.0), ("u1", "i1", 3.0)]))
     assert data.nnz == 1
     assert materialize(data) == {(0, 0): 5.0}
 
 
 def test_build_two_by_two_views_transposed():
-    data, _ = build_interactions(
-        [RawTriplet("u1", "i1", 1.0), RawTriplet("u2", "i2", 1.0)]
-    )
+    data, _ = build_interactions(triplets_of([("u1", "i1", 1.0), ("u2", "i2", 1.0)]))
     assert (data.m, data.n, data.nnz) == (2, 2, 2)
     assert materialize(data) == materialize_cols(data)
 
 
 def test_build_random_views_match_merge_oracle():
     rng = np.random.default_rng(7)
-    triplets = random_triplets(rng, 1000)
-    data, id_map = build_interactions(triplets)
+    rows = random_rows(rng, 1000)
+    data, id_map = build_interactions(triplets_of(rows))
     internal = [
-        (id_map.user_index(t.user), id_map.item_index(t.item), t.count) for t in triplets
+        (id_map.user_index(user), id_map.item_index(item), count) for user, item, count in rows
     ]
     expected = merge_oracle(internal)
     assert materialize(data) == expected
@@ -140,7 +202,7 @@ def test_build_random_views_match_merge_oracle():
 
 def test_build_first_appearance_order():
     data, id_map = build_interactions(
-        [RawTriplet("zz", "b", 1.0), RawTriplet("aa", "a", 1.0), RawTriplet("zz", "a", 2.0)]
+        triplets_of([("zz", "b", 1.0), ("aa", "a", 1.0), ("zz", "a", 2.0)])
     )
     assert id_map.user_index("zz") == 0 and id_map.user_index("aa") == 1
     assert id_map.item_index("b") == 0 and id_map.item_index("a") == 1
@@ -149,7 +211,13 @@ def test_build_first_appearance_order():
 
 def test_build_empty_raises():
     with pytest.raises(DataError, match="empty"):
-        build_interactions([])
+        build_interactions(triplets_of([]))
+
+
+def test_build_merged_overflow_names_the_pair():
+    triplets = parse_triplets(io.StringIO("u0,i0,1\nu1,i1,1e308\nu1,i1,1e308\n"))
+    with pytest.raises(DataError, match="'u1' and item 'i1'"):
+        build_interactions(triplets)
 
 
 def test_views_are_sorted_and_immutable():
@@ -178,6 +246,8 @@ def test_from_entries_validates():
         SparseInteractions.from_entries([0], [0], [0.0], 1, 1)
     with pytest.raises(ValueError, match="range"):
         SparseInteractions.from_entries([0], [5], [1.0], 1, 2)
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) is not finite"):
+        SparseInteractions.from_entries([0, 1, 1], [0, 0, 0], [1.0, 1e308, 1e308], 2, 1)
     empty = SparseInteractions.from_entries([], [], [], 3, 4)
     assert (empty.m, empty.n, empty.nnz) == (3, 4, 0)
 
@@ -321,6 +391,172 @@ def test_triplet_file_roundtrip_lossless(tmp_path):
     entries = [(0, 0, 1.0 / 3.0), (0, 1, 5.0), (1, 1, 1e-7)]
     path = str(tmp_path / "out.csv")
     write_triplet_file(path, entries, id_map)
-    back = read_triplet_file(path)
-    assert [(t.user, t.item) for t in back] == [("u1", "i1"), ("u1", "i2"), ("u2", "i2")]
-    assert [t.count for t in back] == [1.0 / 3.0, 5.0, 1e-7]
+    back = rows_of(read_triplet_file(path))
+    assert [(user, item) for user, item, _ in back] == [("u1", "i1"), ("u1", "i2"), ("u2", "i2")]
+    assert [count for _, _, count in back] == [1.0 / 3.0, 5.0, 1e-7]
+
+
+# ---------------------------------------------------------------- columnar reader against the per-line rule
+
+USER_TOKENS = ["u1", "u2", "u3", "ü4", "用户5", "user six", "u7\x85x"]
+ITEM_TOKENS = ["i1", "i2", "é3", "物品4", "item five", "i6"]
+GOOD_COUNTS = ["1", "2.5", "1e-3", "7", "3.0", "1_0", "4e1"]
+# (text with {d} for the delimiter, message fragment of the per-line rule)
+BAD_LINES = {
+    "short": ("u1{d}i1", "3 fields"),
+    "empty-user": ("{d}i1{d}2", "empty user"),
+    "blank-user": ("  {d}i1{d}2", "empty user"),
+    "empty-item": ("u1{d} {d}2", "empty item"),
+    "not-a-number": ("u1{d}i1{d}abc", "not a number"),
+    "empty-count": ("u1{d}i1{d} ", "not a number"),
+    "hex-count": ("u1{d}i1{d}0x10", "not a number"),
+    "infinite": ("u1{d}i1{d}inf", "not finite"),
+    "nan": ("u1{d}i1{d}nan", "not finite"),
+    "overflow": ("u1{d}i1{d}1e999", "not finite"),
+    "zero": ("u1{d}i1{d}0", "positive"),
+    "negative": ("u1{d}i1{d}-3", "positive"),
+    "negative-zero": ("u1{d}i1{d}-0.0", "positive"),
+    "bad-count-extra-field": ("u1{d}i1{d}abc{d}extra", "not a number"),
+}
+
+
+def random_line(rng, d):
+    """One line the per-line rule accepts or skips, without its line ending."""
+    pads = ["", " ", "  ", "\xa0", "\x0c", "\x1c"] + (["\t"] if d != "\t" else [])
+
+    def pad(token):
+        return f"{rng.choice(pads)}{token}{rng.choice(pads)}"
+
+    kind = rng.random()
+    if kind < 0.06:
+        return ""
+    if kind < 0.10:
+        return str(rng.choice(["   ", " \x0c ", f"{d}{d}" if d == "\t" else " \t"]))
+    fields = [pad(rng.choice(USER_TOKENS)), pad(rng.choice(ITEM_TOKENS)), pad(rng.choice(GOOD_COUNTS))]
+    if kind < 0.20:
+        fields += ["extra"] * int(rng.integers(1, 3))
+    return d.join(fields)
+
+
+def random_text(rng, n_lines, d, bad=None, bad_at=None):
+    """Random triplet text; ``bad`` is a BAD_LINES key placed at line index ``bad_at``."""
+    lines = [random_line(rng, d) for _ in range(n_lines)]
+    if bad is not None:
+        lines[bad_at] = BAD_LINES[bad][0].format(d=d)
+    endings = rng.choice(["\n", "\r\n"], size=n_lines)
+    text = "".join(line + end for line, end in zip(lines, endings))
+    return text.rstrip("\r\n") if rng.random() < 0.5 else text
+
+
+def outcome(parse):
+    try:
+        return parse(), None
+    except ParseError as exc:
+        return None, str(exc)
+
+
+def assert_same_as_reference(got, expected):
+    """Same records, same first-appearance token order, same first error."""
+    got_triplets, got_error = got
+    expected_rows, expected_error = expected
+    assert got_error == expected_error
+    if expected_error is None:
+        assert rows_of(got_triplets) == expected_rows
+        assert got_triplets.user_tokens == tuple(dict.fromkeys(u for u, _, _ in expected_rows))
+        assert got_triplets.item_tokens == tuple(dict.fromkeys(i for _, i, _ in expected_rows))
+
+
+def check_both_paths(tmp_path, text, d, has_header):
+    """parse_triplets on a string stream and read_triplet_file on disk, each against the rule."""
+    assert_same_as_reference(
+        outcome(lambda: parse_triplets(io.StringIO(text), d, has_header)),
+        outcome(lambda: reference_parse(io.StringIO(text), d, has_header)),
+    )
+    path = tmp_path / "triplets.txt"
+    path.write_bytes(text.encode("utf-8"))  # line endings as written
+    with open(path, encoding="utf-8") as fh:
+        expected = outcome(lambda: reference_parse(fh, d, has_header))
+    assert_same_as_reference(outcome(lambda: read_triplet_file(str(path), d, has_header)), expected)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_columnar_reader_matches_per_line_rule(seed, tmp_path, monkeypatch):
+    rng = np.random.default_rng(seed)
+    monkeypatch.setattr(sparse_data, "CHUNK_BYTES", int(rng.choice([16, 100, 400, 1 << 20])))
+    d = "\t" if seed % 3 == 0 else ","
+    n_lines = int(rng.integers(1, 120))
+    text = random_text(rng, n_lines, d)
+    has_header = bool(rng.random() < 0.3)
+    if has_header:
+        text = f"user{d}item{d}count\n" + text
+    check_both_paths(tmp_path, text, d, has_header)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_LINES))
+def test_each_error_kind_in_a_later_chunk(bad, tmp_path, monkeypatch):
+    monkeypatch.setattr(sparse_data, "CHUNK_BYTES", 200)
+    rng = np.random.default_rng(len(bad))
+    for d in (",", "\t"):
+        text = random_text(rng, 150, d, bad=bad, bad_at=int(rng.integers(100, 140)))
+        # a second malformed line after the first must not be the one reported
+        text += "\n" + BAD_LINES["short"][0].format(d=d) + "\n"
+        parsed, message = outcome(lambda: parse_triplets(io.StringIO(text), d))
+        assert message is not None and BAD_LINES[bad][1] in message
+        check_both_paths(tmp_path, text, d, has_header=False)
+
+
+def test_parse_mixed_field_counts_keep_line_order():
+    # three-, four- and five-field lines mixed: the usual width is screened at
+    # once and the others go through the per-line rule, all in line order
+    text = "a,x,1\nb,y,2,t\nc,z,3,t,t\nb,x,4,t\nd,w,5\n\na,w,6,t\n"
+    got = parse_triplets(io.StringIO(text))
+    assert rows_of(got) == reference_parse(io.StringIO(text))
+    assert got.user_tokens == ("a", "b", "c", "d") and got.item_tokens == ("x", "y", "z", "w")
+
+
+def test_non_utf8_bytes_name_their_line(tmp_path, monkeypatch):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"u1,i1,1\nu\xe9,i2,2\nu3,i3,3\n")
+    with pytest.raises(ParseError, match="line 2: line is not valid UTF-8"):
+        read_triplet_file(str(path))
+    # in a later chunk, after a malformed line of the same chunk: the earlier line wins
+    monkeypatch.setattr(sparse_data, "CHUNK_BYTES", 64)
+    body = b"".join(b"u%d,i%d,1\n" % (j, j) for j in range(40))
+    path.write_bytes(body + b"u1,i1\n" + b"u\xff,i2,2\n")
+    with pytest.raises(ParseError, match="line 41: expected at least 3 fields"):
+        read_triplet_file(str(path))
+    path.write_bytes(body + b"u\xff,i2,2\n" + b"u1,i1\n")
+    with pytest.raises(ParseError, match="line 41: line is not valid UTF-8"):
+        read_triplet_file(str(path))
+    # valid non-ASCII text is kept as is
+    path.write_bytes("ü,物品,2\n".encode("utf-8"))
+    assert rows_of(read_triplet_file(str(path))) == [("ü", "物品", 2.0)]
+
+
+def traced_peak(path):
+    tracemalloc.start()
+    try:
+        triplets = read_triplet_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, len(triplets)
+
+
+def test_parse_memory_per_line_is_bounded(tmp_path, monkeypatch):
+    # Fixed token tables, so what grows with the file is the reader's own
+    # state: 24 bytes of columns per line, twice while the chunks are joined.
+    # A Python object per line would cost well over 100 bytes each.
+    monkeypatch.setattr(sparse_data, "CHUNK_BYTES", 1 << 16)
+    rng = np.random.default_rng(0)
+    peaks = []
+    for n_lines in (20_000, 80_000):
+        path = tmp_path / f"{n_lines}.csv"
+        users, items = rng.integers(0, 300, n_lines), rng.integers(0, 200, n_lines)
+        path.write_text("".join(f"user{u},item{i},{1 + u % 3}\n" for u, i in zip(users, items)))
+        peak, kept = traced_peak(str(path))
+        assert kept == n_lines
+        peaks.append(peak / n_lines)
+    small, large = peaks
+    assert large <= small
+    assert large < 80
