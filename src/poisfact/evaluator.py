@@ -3,10 +3,10 @@
 Per-user metrics (precision at a cutoff, AUC) rank only the items absent from
 that user's training history, with the user's test items as the positive
 class; they are averaged over a seeded random sample of users. Neither sorts
-the catalogue by score: precision counts hits below a partition threshold,
-and AUC takes its midranks from binary searches in the sorted negatives. The
-global metrics (Pearson correlation, test Poisson log-likelihood) pool the
-whole test set.
+the catalogue by score: precision counts hits in the top k of
+:func:`top_n_unseen`, the ranking recommend also uses, and AUC takes its
+midranks from binary searches in the sorted negatives. The global metrics
+(Pearson correlation, test Poisson log-likelihood) pool the whole test set.
 """
 
 from __future__ import annotations
@@ -86,22 +86,34 @@ def score_user(model: FactorModel, u: int) -> np.ndarray:
 def top_n_unseen(scores: np.ndarray, seen: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n best-scored items outside ``seen``, best first.
 
-    Ties are broken by ascending item index; when fewer than n items are
-    eligible, all of them are returned. An n below 1 raises ValueError.
+    Exactly the order of a stable sort of the eligible items on their negated
+    scores (compared as float64): ties by ascending item index, NaN last, and
+    all eligible items when fewer than n. An n below 1 raises ValueError.
+    Recommend and ``precision_at_k`` both rank through here.
 
-    Serves single-user recommend only. A stable sort of the eligible items
-    stays here because a partition-threshold version was slower on the
-    all-tied scores of collapsed (all-zero) user rows; ``precision_at_k``,
-    which needs counts rather than an order, uses the threshold.
+    No sort of the catalogue: an all-tied score vector (an all-zero user row)
+    gives the first n eligible items. Otherwise seen items get a NaN key, and
+    v, the n-th smallest key (``np.partition``), keeps the fewer than n items
+    above it plus those tied at it; only they are sorted. A NaN v (fewer than
+    n eligible numbers) falls back to sorting every eligible item.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    eligible = np.ones(len(scores), dtype=bool)
+    key = np.negative(scores, dtype=np.float64)
+    all_tied = len(key) > 0 and key.min() == key.max()  # a NaN makes this false
+    if n < len(key) and not all_tied:
+        key[seen] = np.nan
+        v = np.partition(key, n - 1)[n - 1]
+        if not np.isnan(v):
+            short = np.flatnonzero(key <= v)
+            return short[np.argsort(key[short], kind="stable")[:n]]
+    eligible = np.ones(len(key), dtype=bool)
     eligible[seen] = False
     candidates = np.flatnonzero(eligible)
+    if all_tied:
+        return candidates[:n]
     # stable sort on negated scores: equal scores keep ascending item order
-    order = np.argsort(-scores[candidates], kind="stable")
-    return candidates[order[: min(n, len(candidates))]]
+    return candidates[np.argsort(key[candidates], kind="stable")[:n]]
 
 
 def precision_at_k(
@@ -114,33 +126,17 @@ def precision_at_k(
 
     ``scores`` covers all n items; items in ``train_items`` are excluded
     before ranking. When fewer than k eligible items exist the fraction is
-    over the items actually ranked; a k below 1 raises ValueError.
-
-    The top k are found without a sort: v, the k-th smallest negated score
-    (``np.partition``), splits the eligible items into those strictly above
-    the threshold, all of them in, and those tied at it, taken in ascending
-    item index until k are in. NaN scores rank after every number, ties among
-    them by ascending index. This selects exactly the items of a stable sort
-    on the negated scores.
+    over the items actually ranked; a k below 1 raises ValueError. The top k
+    are those of :func:`top_n_unseen`, the ranking recommend uses.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = np.asarray(scores)
-    eligible = np.ones(len(scores), dtype=bool)
-    eligible[np.asarray(train_items, dtype=np.int64)] = False
+    top = top_n_unseen(scores, np.asarray(train_items, dtype=np.int64), k)
+    if not len(top):
+        return 0.0
     positive = np.zeros(len(scores), dtype=bool)
     positive[np.asarray(positives, dtype=np.int64)] = True
-    key, hit = -scores[eligible], positive[eligible]
-    if k >= len(key):
-        return float(hit.mean()) if len(key) else 0.0
-    v = np.partition(key, k - 1)[k - 1]
-    if np.isnan(v):  # fewer than k numbers: all of them, then the first NaNs
-        tied = np.isnan(key)
-        above = ~tied
-    else:
-        above, tied = key < v, key == v
-    rest = k - int(np.count_nonzero(above))
-    return (int(np.count_nonzero(hit & above)) + int(np.count_nonzero(hit[tied][:rest]))) / k
+    return int(np.count_nonzero(positive[top])) / len(top)
 
 
 def auc_user(scores: np.ndarray, positive: np.ndarray) -> float:

@@ -116,12 +116,14 @@ class IdMap:
 
     @classmethod
     def load(cls, users_path: str, items_path: str) -> "IdMap":
-        """Load tables written by :meth:`save`, checking contiguity."""
+        """Load tables written by :meth:`save`, checking contiguity and UTF-8."""
         tables = []
         for path in (users_path, items_path):
             pairs = []
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
                 for line_no, line in enumerate(fh, start=1):
+                    if not _is_utf8(line):
+                        raise ParseError(f"id-map record in {path} is not valid UTF-8", line_no)
                     line = line.rstrip("\n")
                     if not line:
                         continue

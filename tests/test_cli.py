@@ -14,6 +14,7 @@ from poisfact import (
     ConfigError,
     EvalConfig,
     FactorModel,
+    IdMap,
     ModelMeta,
     SolverChoice,
     SparseInteractions,
@@ -396,6 +397,26 @@ def test_recommend_for_user_rejects_nonpositive_top_n(workspace):
         with pytest.raises(ConfigError, match="top-n"):
             recommend_for_user(model, data, id_map, "user3", top_n)
     assert len(recommend_for_user(model, data, id_map, "user3", 1).items) == 1
+
+
+def test_recommend_for_user_all_zero_row_returns_first_unseen_items():
+    # an all-zero factor row scores every item 0.0, so every item ties and
+    # the answer is the first top_n items outside the history by index
+    rng = np.random.default_rng(73)
+    m, n = 4, 40
+    history = [0, 2, 3]
+    users = np.array([1, 1, 1, 0, 2])
+    items = np.array(history + [5, 7])
+    data = SparseInteractions.from_entries(users, items, np.ones(5), m, n)
+    id_map = IdMap([f"u{u}" for u in range(m)], [f"i{i}" for i in range(n)])
+    A = rng.gamma(1.0, size=(m, 3))
+    A[1] = 0.0
+    model = FactorModel(A, rng.gamma(1.0, size=(n, 3)), 3)
+    recs = recommend_for_user(model, data, id_map, "u1", 5)
+    assert recs.items == [("i1", 0.0), ("i4", 0.0), ("i5", 0.0), ("i6", 0.0), ("i7", 0.0)]
+    unseen = [i for i in range(n) if i not in history]
+    recs = recommend_for_user(model, data, id_map, "u1", 50)
+    assert recs.items == [(f"i{i}", 0.0) for i in unseen]
 
 
 def test_recommend_negative_top_n_exits_2(workspace, capsys):

@@ -1,8 +1,10 @@
 """Ranking metrics, pooled metrics, and the evaluation protocol.
 
 AUC is checked against explicit pair counting, precision against an explicit
-top-k selection and, exactly, against a stable sort of the whole catalogue, the correlation against a two-pass implementation, and the
-protocol against a three-user split small enough to rank by hand.
+top-k selection, precision and the top-n ranking exactly against a stable
+sort of the whole catalogue, the correlation against a two-pass
+implementation, and the protocol against a three-user split small enough to
+rank by hand.
 """
 
 import math
@@ -153,32 +155,44 @@ def test_precision_random_matches_explicit_selection():
         assert got == topk_oracle(scores, positives, k, train_items)
 
 
+def argsort_top_n_oracle(scores, seen, n):
+    """The first n eligible items of a stable sort on -scores."""
+    eligible = np.setdiff1d(np.arange(len(scores)), seen)
+    return eligible[np.argsort(-scores[eligible], kind="stable")[:n]]
+
+
 def argsort_precision_oracle(scores, positives, k, train_items):
     """Hit share of the first k eligible items of a stable sort on -scores."""
-    eligible = np.setdiff1d(np.arange(len(scores)), train_items)
-    top = eligible[np.argsort(-scores[eligible], kind="stable")[:k]]
+    top = argsort_top_n_oracle(scores, train_items, k)
     return float(np.isin(top, positives).mean()) if len(top) else 0.0
 
 
 def test_precision_matches_stable_argsort_exactly():
     rng = np.random.default_rng(69)
-    nan = math.nan
+    nan, inf = math.nan, math.inf
     fixed = [
         (np.array([nan, nan, 1.0]), [0], 2, []),
         (np.array([nan, nan, 1.0]), [1], 2, []),
         (np.array([nan, 0.4, nan, nan, 0.2]), [3], 3, [1]),
         (np.array([0.3, nan, 0.3]), [1], 2, []),
         (np.array([-0.0, 0.0, -0.0, 0.0, 1.0]), [1, 2], 3, []),
+        (np.array([-0.0, 0.0, -0.0, 0.0, -0.0]), [1, 2], 2, [0]),
         (np.full(8, 0.25), [5, 6], 3, [0]),
+        (np.array([inf, 0.5, -inf, nan, inf, -inf]), [4], 2, []),
+        (np.array([-inf, -inf, nan, 0.0]), [1], 2, [3]),
         (np.array([0.1, 0.2, 0.3]), [2], 5, [0]),
         (np.array([0.1, 0.2, 0.3]), [1], 5, [0, 1, 2]),
+        (np.full(4, 0.0), [1], 2, [0, 1, 2, 3]),
+        (np.array([]), [], 1, []),
     ]
     for scores, positives, k, train_items in fixed:
-        got = precision_at_k(scores, np.array(positives), k, np.array(train_items, dtype=int))
-        assert got == argsort_precision_oracle(scores, positives, k, train_items)
-    for trial in range(600):
+        seen = np.array(train_items, dtype=int)
+        got = precision_at_k(scores, np.array(positives, dtype=int), k, seen)
+        assert got == argsort_precision_oracle(scores, positives, k, seen)
+        assert top_n_unseen(scores, seen, k).tolist() == argsort_top_n_oracle(scores, seen, k).tolist()
+    for trial in range(900):
         n = int(rng.integers(1, 60))
-        kind = trial % 6
+        kind = trial % 9
         if kind == 0:
             scores = rng.random(n)
         elif kind == 1:
@@ -190,13 +204,22 @@ def test_precision_matches_stable_argsort_exactly():
         elif kind == 4:
             scores = np.round(rng.random(n), 1)
             scores[rng.random(n) < 0.3] = nan
-        else:
+        elif kind == 5:
             scores = rng.choice([nan, -0.0, 0.0, 1.0], size=n)
+        elif kind == 6:
+            scores = rng.choice([-0.0, 0.0], size=n)
+        elif kind == 7:
+            scores = rng.random(n)
+            scores[rng.integers(n)] = nan
+        else:
+            scores = rng.choice([inf, -inf, nan, 0.0, 0.5], size=n)
         train_items = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
         positives = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
         k = int(rng.integers(1, n + 3))
         got = precision_at_k(scores, positives, k, train_items)
         assert got == argsort_precision_oracle(scores, positives, k, train_items)
+        top = top_n_unseen(scores, train_items, k)
+        assert top.tolist() == argsort_top_n_oracle(scores, train_items, k).tolist()
 
 
 def test_precision_rejects_cutoff_below_one():
@@ -427,7 +450,7 @@ def test_evaluate_matches_per_user_oracles_on_trained_model():
 def test_evaluate_matches_sorting_formula_on_tied_factors():
     # integer-valued factors with zero rows: many exactly tied scores, and
     # all-zero score vectors; every report field must equal a per-user loop
-    # of the sort-based formula (top_n_unseen + auc_user) bit for bit
+    # of the sort-based formula (stable argsort + auc_user) bit for bit
     rng = np.random.default_rng(70)
     m, n = 40, 60
     X = (rng.random((m, n)) < 0.3) * rng.integers(1, 4, size=(m, n))
@@ -452,7 +475,7 @@ def test_evaluate_matches_sorting_formula_on_tied_factors():
                 skipped += 1
                 continue
             scores = score_user(model, u)
-            top = top_n_unseen(scores, train_items, cutoff)
+            top = argsort_top_n_oracle(scores, train_items, cutoff)
             p_sum += float(np.isin(top, positives).mean())
             auc_sum += auc_user(scores[eligible], is_pos)
             evaluated += 1

@@ -296,6 +296,18 @@ def test_idmap_load_rejects_gaps(tmp_path):
         IdMap.load(str(up), str(ip))
 
 
+def test_idmap_load_non_utf8_names_file_and_line(tmp_path):
+    up, ip = tmp_path / "users.map", tmp_path / "items.map"
+    up.write_bytes(b"x\t0\nu\xe9\t1\n")
+    ip.write_text("a\t0\n")
+    with pytest.raises(ParseError, match=r"line 2: id-map record in .*users\.map is not valid UTF-8"):
+        IdMap.load(str(up), str(ip))
+    up.write_text("x\t0\n")
+    ip.write_bytes(b"a\t0\n\xff\t1\n")
+    with pytest.raises(ParseError, match=r"line 2: id-map record in .*items\.map is not valid UTF-8"):
+        IdMap.load(str(up), str(ip))
+
+
 # ---------------------------------------------------------------- splitting
 
 
