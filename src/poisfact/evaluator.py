@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import poisson_core
 from .errors import ConfigError, EvaluationError
 from .poisson_core import DOT_FLOOR
 from .sparse_data import SplitPair
@@ -193,7 +194,13 @@ def _heldout(model: FactorModel, test: list[tuple[int, int, float]]):
     users = np.fromiter((t[0] for t in test), dtype=np.int64, count=len(test))
     items = np.fromiter((t[1] for t in test), dtype=np.int64, count=len(test))
     counts = np.fromiter((t[2] for t in test), dtype=np.float64, count=len(test))
-    return users, items, counts, np.einsum("ij,ij->i", model.A[users], model.B[items])
+    # take() in entry_dots' chunks; einsum sums each row as over the whole arrays
+    dots = np.empty(len(test))
+    for lo in range(0, len(test), poisson_core._CHUNK):
+        hi = lo + poisson_core._CHUNK
+        a, b = model.A.take(users[lo:hi], axis=0), model.B.take(items[lo:hi], axis=0)
+        np.einsum("ij,ij->i", a, b, out=dots[lo:hi])
+    return users, items, counts, dots
 
 
 def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConfig()) -> EvalReport:

@@ -25,10 +25,12 @@ from .sparse_data import SparseInteractions
 # events is surfaced through ClampStats so silent degradation stays visible.
 DOT_FLOOR = 1e-12
 
-# Entries per chunk in entry_dots, sized so the gathered blocks stay in cache:
-# on a 2-vCPU VM, 255k entries at k=20 took 34 ms in 8192-entry chunks and
-# 76 ms in 2^15; 2048 and 4096 were no faster.
-_CHUNK = 1 << 13
+# Entries per chunk in entry_dots and evaluate's held-out predictions, sized
+# so the gathered blocks stay in cache. On a 2-vCPU VM, 255k entries took, in
+# 1024 / 2048 / 4096 / 8192-entry chunks: 15-18 / 14-17 / 16-18 / 19-21 ms at
+# k=20, and 26 / 30 / 35 / 36 ms at k=40; 88k entries at k=10 took 3.4-4.3 ms
+# in any of them. Whole proximal-gradient trains tied at 2048 and 4096.
+_CHUNK = 1 << 11
 
 
 @dataclass
@@ -193,9 +195,15 @@ def entry_dots(
     """
     if out is None:
         out = np.empty(len(rows))
+    dtype = np.result_type(P, Q)
     for lo in range(0, len(rows), _CHUNK):
         hi = lo + _CHUNK
-        np.sum(P[rows[lo:hi]] * Q[cols[lo:hi]], axis=1, out=out[lo:hi])
+        # take() gathers rows faster than fancy indexing; the in-place product
+        # holds the values of P[rows] * Q[cols] (the cast keeps its type), so
+        # the sums keep their bits
+        block = P.take(rows[lo:hi], axis=0).astype(dtype, copy=False)
+        block *= Q.take(cols[lo:hi], axis=0)
+        np.sum(block, axis=1, out=out[lo:hi])
     return _floor_dots(out, stats)
 
 

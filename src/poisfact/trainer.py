@@ -93,7 +93,12 @@ class FactorModel:
 
 @dataclass
 class TrainReport:
-    """Outcome diagnostics of a completed training run."""
+    """Outcome diagnostics of a completed training run.
+
+    ``user_seconds``, ``item_seconds`` and ``objective_seconds`` hold, per
+    iteration, the wall time of its user half, item half and objective; they
+    sum to at most that iteration's ``iteration_seconds``.
+    """
 
     iterations: int
     final_objective: float
@@ -102,6 +107,9 @@ class TrainReport:
     zero_rows_a: int
     zero_rows_b: int
     iteration_seconds: list[float]
+    user_seconds: list[float]
+    item_seconds: list[float]
+    objective_seconds: list[float]
 
 
 def init_factors(m: int, n: int, k: int, seed: int) -> FactorModel:
@@ -171,6 +179,7 @@ def train(
     clamps = ClampStats()
     objective_trace: list[float] = []
     iteration_seconds: list[float] = []
+    user_seconds, item_seconds, objective_seconds = [], [], []
 
     proxgrad = choice.method == PROXGRAD
     by_user, by_item = data.csr, data.csc.T  # the counts as CSR, by user and by item
@@ -196,8 +205,10 @@ def train(
             clamps.bump(reused_clamps)
             model.A = half(model.A, model.B, by_user, alpha, reused)
             _check_finite(model.A, "user")
+            user_done = time.perf_counter()
             model.B = half(model.B, model.A, by_item, alpha)
             _check_finite(model.B, "item")
+            item_done = time.perf_counter()
         except NumericFailureError as exc:
             raise NumericFailureError(
                 f"training failed at iteration {t}: {exc}; "
@@ -214,13 +225,17 @@ def train(
             )
 
         before = clamps.clamped
+        objective_started = time.perf_counter()
         objective = full_objective(data, model.A, model.B, reg, clamps, dots_out=dots)
+        objective_seconds.append(time.perf_counter() - objective_started)
         if proxgrad:
             alpha *= 0.5
             reused, reused_clamps = dots, clamps.clamped - before
         elapsed = time.perf_counter() - started
         objective_trace.append(objective)
         iteration_seconds.append(elapsed)
+        user_seconds.append(user_done - started)
+        item_seconds.append(item_done - user_done)
         _log.debug("iteration %d objective %.6e (%.2fs)", t, objective, elapsed)
         if progress is not None:
             progress(t, objective, elapsed)
@@ -242,5 +257,8 @@ def train(
         zero_rows_a=zero_a,
         zero_rows_b=zero_b,
         iteration_seconds=iteration_seconds,
+        user_seconds=user_seconds,
+        item_seconds=item_seconds,
+        objective_seconds=objective_seconds,
     )
     return model, report

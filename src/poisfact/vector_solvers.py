@@ -109,7 +109,10 @@ def prox_grad_matrix(
     for step in range(tau):
         if step or dots is None:
             dots = entry_dots(X, fixed, rows, counts.indices, stats)
-        X = prox_operator(X + alpha * _ratio_times(counts, dots, fixed), alpha, s, reg)
+        step_to = _ratio_times(counts, dots, fixed)  # X - alpha * gradient, formed in place
+        step_to *= alpha
+        step_to += X
+        X = prox_operator(step_to, alpha, s, reg)
     return X
 
 
@@ -141,8 +144,21 @@ def prox_grad_update(
 
 
 def _take_rows(counts: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
-    """CSR rows ``rows`` (ascending, distinct) of counts; counts itself if that is all of them."""
-    return counts if len(rows) == counts.shape[0] else counts[rows]
+    """CSR rows ``rows`` (ascending, distinct) of counts; counts itself if that is all of them.
+
+    Equal to ``counts[rows]``, built from the selected degrees and start
+    offsets without scipy's fancy row indexing.
+    """
+    if len(rows) == counts.shape[0]:
+        return counts
+    starts = counts.indptr[rows]
+    degrees = counts.indptr[rows + 1] - starts
+    indptr = np.zeros(len(rows) + 1, dtype=counts.indptr.dtype)
+    np.cumsum(degrees, out=indptr[1:])
+    picked = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], degrees)
+    return sp.csr_matrix(
+        (counts.data[picked], counts.indices[picked], indptr), shape=(len(rows), counts.shape[1])
+    )
 
 
 def _row_objectives(

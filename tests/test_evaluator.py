@@ -28,6 +28,7 @@ from poisfact import (
     auc_user,
     evaluate,
     pearson_rho,
+    poisson_core,
     precision_at_k,
     score_user,
     split_train_test,
@@ -36,7 +37,7 @@ from poisfact import (
 
 # the package name test_loglik would be collected as a test; alias it
 from poisfact import test_loglik as heldout_loglik
-from poisfact.evaluator import top_n_unseen
+from poisfact.evaluator import _heldout, top_n_unseen
 
 
 def auc_pairs_oracle(pos_scores, neg_scores):
@@ -358,6 +359,18 @@ def test_loglik_random_matches_scalar_loop():
         pred = float(model.A[u] @ model.B[i])
         want += -pred + x * math.log(pred)
     assert heldout_loglik(model, test) == pytest.approx(want, rel=1e-12)
+
+
+def test_heldout_predictions_chunked_equal_whole_einsum(monkeypatch):
+    monkeypatch.setattr(poisson_core, "_CHUNK", 8)
+    rng = np.random.default_rng(66)
+    for k in (1, 4, 9, 20):
+        model = FactorModel(rng.uniform(0.0, 2.0, (7, k)), rng.uniform(0.0, 2.0, (6, k)), k)
+        for length in (1, 7, 8, 9, 17, 40):
+            test = [(int(rng.integers(7)), int(rng.integers(6)), 1.0) for _ in range(length)]
+            users, items, _, dots = _heldout(model, test)
+            whole = np.einsum("ij,ij->i", model.A[users], model.B[items])
+            assert np.array_equal(dots, whole)
 
 
 def test_loglik_clamps_zero_predictions():

@@ -365,6 +365,28 @@ def test_full_objective_spanning_several_chunks_matches_dense_oracle():
         assert got == pytest.approx(dense_objective_oracle(A, B, X, reg), rel=1e-10)
 
 
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_entry_dots_equals_fancy_index_sum_bit_for_bit(monkeypatch, index_dtype):
+    # the chunked take() gather keeps the bits and the clamp count of the
+    # plain formula, at every width and across every chunk boundary
+    monkeypatch.setattr(core, "_CHUNK", 16)
+    rng = np.random.default_rng(31)
+    for k in (1, 3, 4, 8, 20, 33):
+        P = rng.uniform(0.0, 2.0, size=(23, k))
+        Q = rng.uniform(0.0, 2.0, size=(17, k))
+        P[[2, 9]] = 0.0  # entries of these rows are zero and clamp
+        for length in (0, 1, core._CHUNK - 1, core._CHUNK, core._CHUNK + 1, 5 * core._CHUNK + 3):
+            rows = rng.integers(0, len(P), length).astype(index_dtype)
+            cols = rng.integers(0, len(Q), length).astype(index_dtype)
+            rows[: length // 4] = 2
+            for left in (P, P.astype(np.float32)):  # a float32 side keeps float64 products
+                plain = (left[rows] * Q[cols]).sum(axis=1)
+                stats = ClampStats()
+                got = core.entry_dots(left, Q, rows, cols, stats)
+                assert np.array_equal(got, np.maximum(plain, core.DOT_FLOOR))
+                assert stats.clamped == int((plain < core.DOT_FLOOR).sum())
+
+
 def test_full_objective_counts_clamps():
     data = SparseInteractions.from_entries([0, 1], [0, 1], [2.0, 3.0], 2, 2)
     A = np.array([[0.0, 0.0], [1.0, 1.0]])  # user 0 predicts 0 at a positive count

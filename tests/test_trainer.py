@@ -316,6 +316,20 @@ def test_train_progress_hook_sees_every_iteration():
     assert report.iterations == 4
 
 
+@pytest.mark.parametrize("solver", [SolverChoice(), SolverChoice(method="cg", max_updates=3)])
+def test_train_reports_seconds_per_phase(solver):
+    rng = np.random.default_rng(60)
+    data = random_data(rng)
+    config = TrainConfig(k=2, alpha=1e-2, lam=1.0, iters=3, seed=1, solver=solver)
+    _, report = train(data, config)
+    phases = (report.user_seconds, report.item_seconds, report.objective_seconds)
+    for seconds in phases:
+        assert len(seconds) == report.iterations == 3
+        assert all(sec >= 0 for sec in seconds)
+    for t, total in enumerate(report.iteration_seconds):
+        assert sum(seconds[t] for seconds in phases) <= total
+
+
 # ---------------------------------------------------------------- failure paths
 
 

@@ -30,7 +30,7 @@ from poisfact import (
     prox_operator,
 )
 from poisfact.poisson_core import DOT_FLOOR
-from poisfact.vector_solvers import conj_grad_matrix, prox_grad_matrix
+from poisfact.vector_solvers import _take_rows, conj_grad_matrix, prox_grad_matrix
 
 
 def joint_objective(x, view, reg):
@@ -273,6 +273,20 @@ def test_prox_grad_matrix_reuses_given_dots():
     fresh = prox_grad_matrix(counts, X, fixed, s, 1e-3, reg, 2)
     assert np.array_equal(reused, fresh)
     assert stats.clamped == 0  # the given dots' clamps are the caller's
+
+
+def test_take_rows_equals_scipy_row_indexing():
+    rng = np.random.default_rng(40)
+    counts = clamping_instance(rng)[0]  # rows 3, 11 and 17 hold no entries
+    r = counts.shape[0]
+    picks = [[], [3], [5], [3, 11, 17], [0, 3, 4, 11, 12, 17, r - 1], list(range(1, r)), list(range(r))]
+    picks += [np.flatnonzero(rng.random(r) < 0.5) for _ in range(5)]
+    for pick in picks:
+        pick = np.asarray(pick, dtype=np.int64)
+        got, want = _take_rows(counts, pick), counts[pick]
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 def test_prox_grad_matrix_rejects_bad_step():
