@@ -2,11 +2,15 @@
 
 Per-user metrics (precision at a cutoff, AUC) rank only the items absent from
 that user's training history, with the user's test items as the positive
-class; they are averaged over a seeded random sample of users. Neither sorts
-the catalogue by score: precision counts hits in the top k of
-:func:`top_n_unseen`, the ranking recommend also uses, and AUC takes its
-midranks from binary searches in the sorted negatives. The global metrics
-(Pearson correlation, test Poisson log-likelihood) pool the whole test set.
+class; they are averaged over a seeded random sample of users. ``evaluate``
+takes the sampled users in blocks and sorts each user's eligible negatives
+once: binary searches of the positives in them give both the AUC midranks
+and each positive's rank for precision. Precision falls back to
+:func:`precision_at_k`, which ranks through :func:`top_n_unseen` like
+recommend, for a user with a positive tied to a negative; a NaN among a
+user's eligible scores sends both metrics to it and :func:`auc_user`. Every
+result keeps those functions' bits. The global metrics (Pearson
+correlation, test Poisson log-likelihood) pool the whole test set.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ from .errors import ConfigError, EvaluationError
 from .poisson_core import DOT_FLOOR
 from .sparse_data import SplitPair
 from .trainer import FactorModel
+
+# evaluate scores its sampled users in blocks of about this many float64
+# scores (1 MiB): 8 users at 16,000 items, 72 at 1,800
+_BLOCK_SCORES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -178,7 +186,7 @@ def test_loglik(model: FactorModel, test: list[tuple[int, int, float]]) -> float
 
     Returns sum over test entries of -a_u.b_i + x * log(a_u.b_i), with dot
     products floored at DOT_FLOOR inside the logarithm. Empty test sets give
-    exactly zero.
+    exactly zero; an entry outside the model raises EvaluationError.
     """
     if not test:
         return 0.0
@@ -189,11 +197,60 @@ def _loglik(counts: np.ndarray, dots: np.ndarray) -> float:
     return float(-dots.sum() + counts @ np.log(np.maximum(dots, DOT_FLOOR)))
 
 
+def _cells(starts: np.ndarray, ends: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Flat cells r * n + values[j] of a block, j over [starts[r], ends[r]) for each row r."""
+    lengths = ends - starts
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    at = np.arange(len(rows)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return rows * n + values[at]
+
+
+def _rank_block(scores, seen, positive, n_pos, n_neg, k):
+    """Per row of a block: AUC pair counts, hits in the top k, and which rows they hold for.
+
+    ``seen`` and ``positive`` mask each row's history and eligible positives.
+    A sorted copy with both masked to NaN (NaN sorts last) opens each row with
+    its n_neg sorted negatives; a positive's left and right insertion points
+    there count the negatives below and tied with it. When no positive ties a
+    negative, a positive's rank is the negatives plus the positives above it
+    (tied positives fill the same ranks in either order), and the hits are
+    the positives ranked below k. Lists: below, ties, hits, exact (the hits
+    hold: no positive ties a negative and no eligible score is NaN) and
+    has_nan.
+    """
+    negatives = np.where(seen | positive, np.nan, scores)
+    negatives.sort(axis=1)
+    owner = np.repeat(np.arange(len(scores)), n_pos)
+    pos = scores[positive]
+    pos = pos[np.lexsort((pos, owner))]  # each row's positives, ascending
+    ends = np.cumsum(n_pos)
+    starts = ends - n_pos
+    left, right = np.empty(len(pos), dtype=np.int64), np.empty(len(pos), dtype=np.int64)
+    for j, (lo, hi, count) in enumerate(zip(starts.tolist(), ends.tolist(), n_neg.tolist())):
+        row = negatives[j, :count]
+        left[lo:hi] = row.searchsorted(pos[lo:hi], side="left")
+        right[lo:hi] = row.searchsorted(pos[lo:hi], side="right")
+    below = np.add.reduceat(left, starts)
+    ties = np.add.reduceat(right - left, starts)
+    rank = np.repeat(n_neg, n_pos) - right + np.repeat(ends - 1, n_pos) - np.arange(len(pos))
+    hits = np.bincount(owner[rank < k], minlength=len(scores))
+    has_nan = np.isnan(negatives[np.arange(len(scores)), n_neg - 1])
+    has_nan[owner[np.isnan(pos)]] = True
+    exact = (ties == 0) & ~has_nan
+    return below.tolist(), ties.tolist(), hits.tolist(), exact.tolist(), has_nan.tolist()
+
+
 def _heldout(model: FactorModel, test: list[tuple[int, int, float]]):
     """Users, items and counts of the held-out triples, and their predictions."""
     users = np.fromiter((t[0] for t in test), dtype=np.int64, count=len(test))
     items = np.fromiter((t[1] for t in test), dtype=np.int64, count=len(test))
     counts = np.fromiter((t[2] for t in test), dtype=np.float64, count=len(test))
+    outside = (users < 0) | (users >= model.m) | (items < 0) | (items >= model.n)
+    if outside.any():  # take() would wrap a negative index
+        at = int(outside.argmax())
+        raise EvaluationError(
+            f"test entry {at} ({users[at]}, {items[at]}) lies outside the {model.m} x {model.n} model"
+        )
     # take() in entry_dots' chunks; einsum sums each row as over the whole arrays
     dots = np.empty(len(test))
     for lo in range(0, len(test), poisson_core._CHUNK):
@@ -211,6 +268,8 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
     exactly once); users without an eligible positive or negative item are
     skipped and counted. Correlation and log-likelihood always use the whole
     test set; the correlation is NaN when predictions or counts do not vary.
+    A held-out entry whose user or item lies outside the model raises
+    EvaluationError before any scoring.
     """
     if not split.test:
         raise EvaluationError("no test entries to evaluate")
@@ -237,27 +296,49 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
     # held-out items of the sampled users: slices of the user-sorted entries
     order = np.argsort(users, kind="stable")
     sorted_users, sorted_items = users[order], items[order]
-    starts = np.searchsorted(sorted_users, sampled, side="left").tolist()
-    ends = np.searchsorted(sorted_users, sampled, side="right").tolist()
+    starts = np.searchsorted(sorted_users, sampled, side="left")
+    ends = np.searchsorted(sorted_users, sampled, side="right")
 
-    n = split.train.n
+    n, k = split.train.n, config.cutoff
+    indptr, indices = split.train.csr.indptr, split.train.csr.indices
+    size = max(1, _BLOCK_SCORES // n)
+    # one score buffer for every block: a fresh 1 MiB array per block pays its page faults
+    block = np.empty((min(size, len(sampled)), n))
     p_sum = auc_sum = 0.0
     evaluated = skipped = 0
-    for u, lo, hi in zip(sampled.tolist(), starts, ends):
-        positives = sorted_items[lo:hi]
-        train_items = split.train.row(u)[0]
-        eligible = np.ones(n, dtype=bool)
-        eligible[train_items] = False
-        positive_mask = np.zeros(n, dtype=bool)
-        positive_mask[positives] = True
-        elig_pos = positive_mask[eligible]
-        if elig_pos.all() or not elig_pos.any():  # no eligible negative or positive
-            skipped += 1
+    for lo in range(0, len(sampled), size):
+        hi = lo + size
+        blk = sampled[lo:hi]
+        seen = np.zeros(len(blk) * n, dtype=bool)
+        seen[_cells(indptr[blk], indptr[blk + 1], indices, n)] = True
+        held = _cells(starts[lo:hi], ends[lo:hi], sorted_items, n)
+        positive = np.zeros_like(seen)
+        positive[held[~seen[held]]] = True  # distinct held-out items outside the history
+        seen, positive = seen.reshape(-1, n), positive.reshape(-1, n)
+        n_pos = np.count_nonzero(positive, axis=1)
+        n_neg = n - np.count_nonzero(seen, axis=1) - n_pos
+        rows = np.flatnonzero((n_pos > 0) & (n_neg > 0))  # the rest lack a positive or a negative
+        skipped += len(blk) - len(rows)
+        if not len(rows):
             continue
-        scores = score_user(model, u)
-        p_sum += precision_at_k(scores, positives, config.cutoff, train_items)
-        auc_sum += auc_user(scores[eligible], elig_pos)
-        evaluated += 1
+        seen, positive, n_pos, n_neg = seen[rows], positive[rows], n_pos[rows], n_neg[rows]
+        scores = block[: len(rows)]
+        for j, u in enumerate(blk[rows].tolist()):
+            scores[j] = score_user(model, u)
+        ranked = zip(n_pos.tolist(), n_neg.tolist(), *_rank_block(scores, seen, positive, n_pos, n_neg, k))
+        for j, (n_p, n_n, below, ties, hits, exact, has_nan) in enumerate(ranked):
+            if exact:
+                p_sum += hits / min(k, n_p + n_n)
+            else:  # a tie or a NaN: top_n_unseen's index and NaN-last order decide
+                at = lo + rows[j]
+                history = split.train.row(int(sampled[at]))[0]
+                p_sum += precision_at_k(scores[j], sorted_items[starts[at] : ends[at]], k, history)
+            if has_nan:
+                eligible = ~seen[j]
+                auc_sum += auc_user(scores[j][eligible], positive[j][eligible])
+            else:  # auc_user's integer pair counts and expression
+                auc_sum += (below + 0.5 * ties) / (n_p * n_n)
+            evaluated += 1
     if evaluated == 0:
         raise EvaluationError("no evaluable users: every sampled user lacked a positive or negative item")
     return EvalReport(

@@ -2,7 +2,9 @@
 
 Each record must parse and hold the keys the records share: what changed,
 against which parent, on which harness and machine, by which method, the
-per-workload numbers, and the claim with its pair count and verdict.
+per-workload numbers, and the claim with its pair count and verdict. A
+claim counts as met only when the change won at least nine in ten of its
+pairs of runs.
 """
 
 import json
@@ -35,3 +37,8 @@ def test_bench_record_holds_the_shared_keys(path):
     assert claim["workload"] in record["workloads"]
     assert isinstance(claim["met"], bool)
     assert 0 <= claim["pairs_won"] <= claim["pairs"]
+    if claim["met"]:
+        assert claim["pairs_won"] >= 0.9 * claim["pairs"]
+    for workload in record["workloads"].values():
+        assert isinstance(workload["quality_identical_per_seed"], bool)
+        assert isinstance(workload["every_check_passed"], bool)

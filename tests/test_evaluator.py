@@ -7,6 +7,7 @@ implementation, and the protocol against a three-user split small enough to
 rank by hand.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -34,6 +35,8 @@ from poisfact import (
     split_train_test,
     train,
 )
+
+import poisfact.evaluator as evaluator
 
 # the package name test_loglik would be collected as a test; alias it
 from poisfact import test_loglik as heldout_loglik
@@ -499,6 +502,129 @@ def test_evaluate_matches_sorting_formula_on_tied_factors():
         assert report.pearson_rho == pearson_rho(preds, counts)
         assert report.test_loglik == heldout_loglik(model, split.test)
         assert (report.users_evaluated, report.users_skipped) == (evaluated, skipped)
+
+
+def protocol_oracle(model, split, config):
+    """The report of a per-user loop of top_n_unseen and auc_user over the sample."""
+    users = np.array([u for u, _, _ in split.test])
+    population = np.unique(users)
+    sampled = population
+    if len(population) > config.sample_users:
+        rng = np.random.default_rng(config.seed)
+        sampled = np.sort(rng.choice(population, size=config.sample_users, replace=False))
+    p_sum = auc_sum = 0.0
+    evaluated = skipped = 0
+    for u in sampled.tolist():
+        positives = np.array([i for uu, i, _ in split.test if uu == u])
+        train_items = split.train.row(u)[0]
+        eligible = np.setdiff1d(np.arange(model.n), train_items)
+        is_pos = np.isin(eligible, positives)
+        if is_pos.all() or not is_pos.any():
+            skipped += 1
+            continue
+        scores = score_user(model, u)
+        top = top_n_unseen(scores, train_items, config.cutoff)
+        p_sum += int(np.isin(top, positives).sum()) / len(top)
+        auc_sum += auc_user(scores[eligible], is_pos)
+        evaluated += 1
+    _, _, counts, predictions = _heldout(model, split.test)
+    try:
+        rho = pearson_rho(predictions, counts)
+    except EvaluationError:
+        rho = math.nan
+    loglik = heldout_loglik(model, split.test)
+    return EvalReport(p_sum / evaluated, auc_sum / evaluated, rho, loglik, evaluated, skipped)
+
+
+def block_split(rng):
+    """23 users over 17 items; every user is a test user, so blocks of 2 or 3 leave a partial one.
+
+    User 0 has three eligible items (fewer than a cutoff of 5), user 1's
+    held-out items all lie in its history and user 2 holds every eligible
+    item as a positive (both skipped), users 3 to 6 hold a held-out item from
+    their history too, and four test triples appear twice.
+    """
+    m, n = 23, 17
+    X = (rng.random((m, n)) < 0.35) * rng.integers(1, 4, size=(m, n))
+    X[0, :14], X[0, 14:] = 1, 0
+    X[1, :4] = 1
+    users, items = np.nonzero(X)
+    train_data = SparseInteractions.from_entries(users, items, X[users, items].astype(float), m, n)
+    test = [(1, 0, 1.0), (1, 2, 2.0)]
+    test += [(2, int(i), 1.0) for i in np.flatnonzero(X[2] == 0)]
+    for u in range(3, m):
+        unseen = np.flatnonzero(X[u] == 0)
+        for i in rng.choice(unseen, size=min(len(unseen), int(rng.integers(1, 4))), replace=False):
+            test.append((u, int(i), float(rng.integers(1, 4))))
+    test.append((0, 15, 2.0))
+    test += [(u, int(np.flatnonzero(X[u])[0]), 1.0) for u in range(3, 7)]
+    test += test[-9:-5]
+    return SplitPair(train=train_data, test=test)
+
+
+def block_factors(rng, kind, m, n):
+    if kind == "gamma":
+        return rng.gamma(0.5, 1.0, (m, 4)), rng.gamma(0.5, 1.0, (n, 4))
+    if kind == "integer":  # exactly tied scores and all-zero score rows
+        A, B = rng.integers(0, 3, (m, 3)).astype(float), rng.integers(0, 3, (n, 3)).astype(float)
+        A[::4], B[::5] = 0.0, 0.0
+        return A, B
+    A, B = rng.gamma(0.5, 1.0, (m, 4)), rng.gamma(0.5, 1.0, (n, 4))
+    if kind == "nan":  # a user with every score NaN; an item that is NaN for all
+        A[3], B[6] = math.nan, math.nan
+    else:  # a user with every score inf; an item that is inf for all
+        A[5], B[2] = math.inf, math.inf
+    return A, B
+
+
+@pytest.mark.parametrize("block_users", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["gamma", "integer", "nan", "inf"])
+def test_evaluate_blocks_equal_per_user_oracles_bit_for_bit(monkeypatch, block_users, kind):
+    rng = np.random.default_rng(72)
+    split = block_split(rng)
+    A, B = block_factors(rng, kind, split.train.m, split.train.n)
+    model = FactorModel(A, B, A.shape[1])
+    monkeypatch.setattr(evaluator, "_BLOCK_SCORES", block_users * split.train.n)
+    for cutoff in (1, 5, 20):
+        for sample_users in (1000, 10):
+            config = EvalConfig(cutoff=cutoff, sample_users=sample_users, seed=3)
+            got = dataclasses.astuple(evaluate(model, split, config))
+            want = dataclasses.astuple(protocol_oracle(model, split, config))
+            assert [float(v).hex() for v in got[:4]] == [float(v).hex() for v in want[:4]]
+            assert got[4:] == want[4:]
+            if sample_users == 1000:
+                assert got[5] == 2  # users 1 and 2
+
+
+def test_evaluate_ranks_untied_users_without_the_fallbacks(monkeypatch):
+    # distinct finite scores: the block's sorted negatives decide every user
+    rng = np.random.default_rng(73)
+    split = block_split(rng)
+    A, B = block_factors(rng, "gamma", split.train.m, split.train.n)
+    model = FactorModel(A, B, 4)
+    want = evaluate(model, split, EvalConfig(cutoff=5, sample_users=1000, seed=0))
+
+    def refuse(*args):
+        raise AssertionError("fallback ranking called")
+
+    monkeypatch.setattr(evaluator, "precision_at_k", refuse)
+    monkeypatch.setattr(evaluator, "auc_user", refuse)
+    assert evaluate(model, split, EvalConfig(cutoff=5, sample_users=1000, seed=0)) == want
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [((-1, 3, 2.0), r"test entry 1 \(-1, 3\)"), ((0, 5, 2.0), r"test entry 1 \(0, 5\)"),
+     ((3, 0, 1.0), r"test entry 1 \(3, 0\)"), ((0, -2, 1.0), r"test entry 1 \(0, -2\)")],
+)
+def test_evaluate_rejects_test_entries_outside_the_model(entry, named):
+    # a negative index would wrap onto the last user or item; one past the end
+    # would raise a bare IndexError
+    split = SplitPair(train=toy_split().train, test=[(0, 1, 1.0), entry, (2, 0, 5.0)])
+    with pytest.raises(EvaluationError, match=named + r" lies outside the 3 x 4 model"):
+        evaluate(toy_model(), split)
+    with pytest.raises(EvaluationError, match=named):
+        heldout_loglik(toy_model(), split.test)
 
 
 def test_evaluate_sampling_is_capped_and_deterministic():
