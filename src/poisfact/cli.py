@@ -17,7 +17,6 @@ import json
 import os
 import struct
 import sys
-import tempfile
 import zlib
 from dataclasses import dataclass
 
@@ -30,6 +29,7 @@ from .sparse_data import (
     SparseInteractions,
     SplitPair,
     build_interactions,
+    open_replacing,
     read_triplet_file,
     split_train_test,
     write_triplet_file,
@@ -86,19 +86,11 @@ def save_model(path: str, model: FactorModel, meta: ModelMeta) -> None:
     except (KeyError, struct.error) as exc:
         raise ConfigError(f"cannot encode model header: {exc}") from None
     crc = zlib.crc32(b_bytes, zlib.crc32(a_bytes))
-    out_dir = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=out_dir, prefix=".model-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(a_bytes)
-            fh.write(b_bytes)
-            fh.write(struct.pack("<I", crc))
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    with open_replacing(path, binary=True) as fh:
+        fh.write(header)
+        fh.write(a_bytes)
+        fh.write(b_bytes)
+        fh.write(struct.pack("<I", crc))
 
 
 def load_model(path: str) -> tuple[FactorModel, ModelMeta]:

@@ -5,12 +5,14 @@ that user's training history, with the user's test items as the positive
 class; they are averaged over a seeded random sample of users. ``evaluate``
 takes the sampled users in blocks and sorts each user's eligible negatives
 once: binary searches of the positives in them give both the AUC midranks
-and each positive's rank for precision. Precision falls back to
+and each positive's rank for precision; a user whose scores are all equal
+takes the first k eligible items. Precision falls back to
 :func:`precision_at_k`, which ranks through :func:`top_n_unseen` like
-recommend, for a user with a positive tied to a negative; a NaN among a
-user's eligible scores sends both metrics to it and :func:`auc_user`. Every
-result keeps those functions' bits. The global metrics (Pearson
-correlation, test Poisson log-likelihood) pool the whole test set.
+recommend, for any other user with a positive tied to a negative; a NaN
+among a user's eligible scores sends both metrics to it and
+:func:`auc_user`. Every result keeps those functions' bits. The global
+metrics (Pearson correlation, test Poisson log-likelihood) pool the whole
+test set.
 """
 
 from __future__ import annotations
@@ -214,9 +216,11 @@ def _rank_block(scores, seen, positive, n_pos, n_neg, k):
     there count the negatives below and tied with it. When no positive ties a
     negative, a positive's rank is the negatives plus the positives above it
     (tied positives fill the same ranks in either order), and the hits are
-    the positives ranked below k. Lists: below, ties, hits, exact (the hits
-    hold: no positive ties a negative and no eligible score is NaN) and
-    has_nan.
+    the positives ranked below k. When every score of a row is equal, the
+    top k are its first k eligible items by index, as in
+    :func:`top_n_unseen`. Lists: below, ties, hits, exact (the hits hold: no
+    positive ties a negative, or every score is equal, and no eligible score
+    is NaN) and has_nan.
     """
     negatives = np.where(seen | positive, np.nan, scores)
     negatives.sort(axis=1)
@@ -237,6 +241,12 @@ def _rank_block(scores, seen, positive, n_pos, n_neg, k):
     has_nan = np.isnan(negatives[np.arange(len(scores)), n_neg - 1])
     has_nan[owner[np.isnan(pos)]] = True
     exact = (ties == 0) & ~has_nan
+    # every score equal (an all-zero user row): the top k are the first k eligible items;
+    # row by row, since copies of these rows would double the block's memory
+    for r in np.flatnonzero(~exact & ~has_nan).tolist():
+        if scores[r].min() == scores[r].max():
+            hits[r] = np.count_nonzero(positive[r, np.flatnonzero(~seen[r])[:k]])
+            exact[r] = True
     return below.tolist(), ties.tolist(), hits.tolist(), exact.tolist(), has_nan.tolist()
 
 
@@ -329,7 +339,7 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
         for j, (n_p, n_n, below, ties, hits, exact, has_nan) in enumerate(ranked):
             if exact:
                 p_sum += hits / min(k, n_p + n_n)
-            else:  # a tie or a NaN: top_n_unseen's index and NaN-last order decide
+            else:  # a partial tie or a NaN: top_n_unseen's index and NaN-last order decide
                 at = lo + rows[j]
                 history = split.train.row(int(sampled[at]))[0]
                 p_sum += precision_at_k(scores[j], sorted_items[starts[at] : ends[at]], k, history)

@@ -11,9 +11,11 @@ used for evaluation.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, repeat
-from typing import Iterable, TextIO
+from itertools import compress, islice, repeat
+from typing import IO, Iterable, Iterator, NoReturn, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +25,9 @@ from .errors import ConfigError, DataError, DataMismatchError, ParseError
 # Characters of text the parser reads at a time: its working memory beyond the
 # output columns and token tables is bounded by this, not by the file size.
 CHUNK_BYTES = 1 << 20
+
+# Entries the triplet writer formats and writes at a time, as one string.
+WRITE_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,17 +107,32 @@ class IdMap:
         return token in self._item_index
 
     def user_token(self, index: int) -> str:
-        return self._user_tokens[index]
+        """External token of a user index; an index outside [0, n_users) is a DataError."""
+        try:
+            if index >= 0:  # a negative index would wrap
+                return self._user_tokens[index]
+        except IndexError:
+            pass
+        raise DataError(f"user index {index} is outside the id map's {self.n_users} users")
 
     def item_token(self, index: int) -> str:
-        return self._item_tokens[index]
+        """External token of an item index; an index outside [0, n_items) is a DataError."""
+        try:
+            if index >= 0:  # a negative index would wrap
+                return self._item_tokens[index]
+        except IndexError:
+            pass
+        raise DataError(f"item index {index} is outside the id map's {self.n_items} items")
 
     def save(self, users_path: str, items_path: str) -> None:
-        """Persist both tables as two-column text (token, index), tab separated."""
+        """Persist both tables as two-column text (token, index), tab separated.
+
+        Each file is written in one call and replaces its target only once
+        complete (see :func:`open_replacing`).
+        """
         for path, tokens in ((users_path, self._user_tokens), (items_path, self._item_tokens)):
-            with open(path, "w", encoding="utf-8") as fh:
-                for j, tok in enumerate(tokens):
-                    fh.write(f"{tok}\t{j}\n")
+            with open_replacing(path) as fh:
+                fh.write("".join([f"{tok}\t{j}\n" for j, tok in enumerate(tokens)]))
 
     @classmethod
     def load(cls, users_path: str, items_path: str) -> "IdMap":
@@ -262,6 +282,27 @@ class SplitPair:
 
     train: SparseInteractions
     test: list[tuple[int, int, float]]
+
+
+@contextmanager
+def open_replacing(path: str, binary: bool = False) -> Iterator[IO]:
+    """A new file beside ``path`` to write into; it replaces ``path`` when the block completes.
+
+    An error inside the block removes the new file and leaves ``path`` as it
+    was, so a failed write never leaves a partial file under the target
+    name. Text is written as UTF-8; the file gets ``open``'s usual
+    permissions.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp_path, "xb") if binary else open(tmp_path, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def _is_utf8(text: str) -> bool:
@@ -476,14 +517,17 @@ def split_train_test(
         return SplitPair(train=data, test=[])
     if to_test.all():
         raise DataError("split left no training entries; lower test_fraction")
-    train_users = users[~to_test]
-    user_in_train = np.bincount(train_users, minlength=data.m) > 0
+    to_train = ~to_test
+    train_per_user = np.bincount(users[to_train], minlength=data.m)
     test_per_user = np.bincount(users[to_test], minlength=data.m)
-    user_kept = user_in_train & (test_per_user >= min_test_entries)
+    user_kept = (train_per_user > 0) & (test_per_user >= min_test_entries)
     keep = to_test & user_kept[users]
-    train = SparseInteractions.from_entries(
-        train_users, items[~to_test], counts[~to_test], data.m, data.n
+    # the training entries, a mask over a sorted and merged CSR, are one already
+    indptr = np.concatenate(([0], np.cumsum(train_per_user)))
+    csr = sp.csr_matrix(
+        (data.csr.data[to_train], data.csr.indices[to_train], indptr), shape=(data.m, data.n)
     )
+    train = SparseInteractions(csr, csr.tocsc())
     test = list(
         zip(
             users[keep].tolist(),
@@ -492,6 +536,32 @@ def split_train_test(
         )
     )
     return SplitPair(train=train, test=test)
+
+
+class _CountTexts(dict):
+    """``%.17g`` texts of float counts, each distinct value formatted once.
+
+    A value is kept only when no other float equal to it has another text:
+    0.0 and -0.0 are equal keys with different texts, and a NaN equals
+    nothing, so those are formatted on every use.
+    """
+
+    def __missing__(self, x: float) -> str:
+        text = f"{x:.17g}"
+        if x == x != 0:
+            self[x] = text
+        return text
+
+
+def _outside(u, i, x, id_map: IdMap) -> NoReturn:
+    """Raise the DataError of an entry whose user or item lies outside ``id_map``."""
+    if 0 <= u < id_map.n_users:
+        side, index, size = "item", i, id_map.n_items
+    else:
+        side, index, size = "user", u, id_map.n_users
+    raise DataError(
+        f"entry ({u}, {i}, {x}) has {side} index {index}, outside the id map's {size} {side}s"
+    )
 
 
 def write_triplet_file(
@@ -503,13 +573,23 @@ def write_triplet_file(
     """Write internal (u, i, x) entries as external-token triplet text.
 
     Counts are formatted with %.17g, which round-trips float64 exactly, so a
-    written file re-parses to identical values.
+    written file re-parses to identical values. Lines are joined and written
+    ``WRITE_CHUNK`` entries at a time, and the file replaces ``path`` only
+    once complete (see :func:`open_replacing`). An index outside the id map
+    is a DataError naming the entry; ``path`` is then left as it was.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, i, x in entries:
-            fh.write(
-                f"{id_map.user_token(u)}{delimiter}{id_map.item_token(i)}{delimiter}{x:.17g}\n"
-            )
+    users, items = id_map._user_tokens, id_map._item_tokens
+    m, n = len(users), len(items)
+    texts = _CountTexts()  # only exact floats: equal values of other types may print otherwise
+    rows = iter(entries)
+    with open_replacing(path) as fh:
+        while lines := [
+            f"{users[u]}{delimiter}{items[i]}{delimiter}"
+            f"{texts[x] if type(x) is float else format(x, '.17g')}\n"
+            for u, i, x in islice(rows, WRITE_CHUNK)
+            if 0 <= u < m and 0 <= i < n or _outside(u, i, x, id_map)
+        ]:
+            fh.write("".join(lines))
 
 
 def read_triplet_file(path: str, delimiter: str = ",", has_header: bool = False) -> Triplets:

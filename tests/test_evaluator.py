@@ -612,6 +612,31 @@ def test_evaluate_ranks_untied_users_without_the_fallbacks(monkeypatch):
     assert evaluate(model, split, EvalConfig(cutoff=5, sample_users=1000, seed=0)) == want
 
 
+@pytest.mark.parametrize("block_users", [1, 3, 23])
+def test_evaluate_ranks_all_tied_users_without_the_fallbacks(monkeypatch, block_users):
+    # all-zero user rows tie every item, an all-inf row too; the other rows are distinct
+    rng = np.random.default_rng(74)
+    split = block_split(rng)
+    A, B = block_factors(rng, "gamma", split.train.m, split.train.n)
+    A[::3] = 0.0
+    A[4] = math.inf
+    model = FactorModel(A, B, 4)
+    monkeypatch.setattr(evaluator, "_BLOCK_SCORES", block_users * split.train.n)
+    configs = [EvalConfig(cutoff=cutoff, sample_users=1000, seed=0) for cutoff in (1, 2, 5, 20)]
+    wants = [protocol_oracle(model, split, config) for config in configs]
+
+    def refuse(*args):
+        raise AssertionError("fallback ranking called")
+
+    monkeypatch.setattr(evaluator, "precision_at_k", refuse)
+    monkeypatch.setattr(evaluator, "auc_user", refuse)
+    for config, want in zip(configs, wants):
+        got = dataclasses.astuple(evaluate(model, split, config))
+        want = dataclasses.astuple(want)
+        assert [float(v).hex() for v in got[:4]] == [float(v).hex() for v in want[:4]]
+        assert got[4:] == want[4:]
+
+
 @pytest.mark.parametrize(
     "entry, named",
     [((-1, 3, 2.0), r"test entry 1 \(-1, 3\)"), ((0, 5, 2.0), r"test entry 1 \(0, 5\)"),

@@ -1,7 +1,10 @@
 """Ingestion, id mapping, dual sparse views, and the holdout split."""
 
 import io
+import math
+import os
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -395,6 +398,28 @@ def test_split_preserves_dimensions():
     assert (pair.train.m, pair.train.n) == (5, 6)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_split_train_equals_from_entries_of_kept_entries(seed):
+    # empty rows and columns in the middle and at the end of both dimensions
+    rng = np.random.default_rng(seed)
+    m, n = 50, 40
+    users = rng.choice(np.r_[0:20, 25:45], 700)
+    items = rng.choice(np.r_[0:10, 15:33], 700)
+    data = SparseInteractions.from_entries(users, items, rng.integers(1, 5, 700) * 0.5, m, n)
+    fraction = (0.1, 0.3, 0.6)[seed % 3]
+    pair = split_train_test(data, fraction, 1 + seed % 3, seed=seed)
+    all_users, all_items, all_counts = data.entries()
+    kept = np.random.default_rng(seed).random(data.nnz) >= fraction
+    want = SparseInteractions.from_entries(all_users[kept], all_items[kept], all_counts[kept], m, n)
+    for got_view, want_view in ((pair.train.csr, want.csr), (pair.train.csc, want.csc)):
+        assert type(got_view) is type(want_view) and got_view.shape == want_view.shape
+        for name in ("indptr", "indices", "data"):
+            got_array, want_array = getattr(got_view, name), getattr(want_view, name)
+            assert got_array.dtype == want_array.dtype
+            assert np.array_equal(got_array, want_array)
+            assert not got_array.flags.writeable
+
+
 # ---------------------------------------------------------------- file io
 
 
@@ -406,6 +431,84 @@ def test_triplet_file_roundtrip_lossless(tmp_path):
     back = rows_of(read_triplet_file(path))
     assert [(user, item) for user, item, _ in back] == [("u1", "i1"), ("u1", "i2"), ("u2", "i2")]
     assert [count for _, _, count in back] == [1.0 / 3.0, 5.0, 1e-7]
+
+
+def per_line_write(path, entries, user_tokens, item_tokens, delimiter=","):
+    """The per-line writer: one f-string and one write per entry."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for u, i, x in entries:
+            fh.write(f"{user_tokens[u]}{delimiter}{item_tokens[i]}{delimiter}{x:.17g}\n")
+
+
+WRITER_USERS = ["u1", "ü2", "用户3", "tab\tuser", "u,5"]
+WRITER_ITEMS = ["i1", "物品2", "item\tthree", "é4"]
+# equal values of different types and both zeros, each seen before and after its twin
+WRITER_COUNTS = [
+    1.0, 0.1, 1 / 3, 5e-324, 1e300, 2**53 + 1, np.float32(0.1), np.int64(3), 0.0, -0.0,
+    math.nan, math.inf, Decimal("1.0"), Decimal("1.00"), 3.0, np.float64(-0.0), float("nan"),
+]
+
+
+def writer_entries(seed):
+    rng = np.random.default_rng(seed)
+    counts = [WRITER_COUNTS[j] for j in rng.permutation(3 * len(WRITER_COUNTS)) % len(WRITER_COUNTS)]
+    users = rng.integers(0, len(WRITER_USERS), len(counts)).tolist()
+    items = rng.integers(0, len(WRITER_ITEMS), len(counts)).tolist()
+    return list(zip(users, items, counts))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, sparse_data.WRITE_CHUNK])
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+@pytest.mark.parametrize("source", ["list", "generator", "empty"])
+def test_triplet_writer_bytes_equal_per_line_formula(tmp_path, monkeypatch, chunk, delimiter, source):
+    monkeypatch.setattr(sparse_data, "WRITE_CHUNK", chunk)
+    entries = [] if source == "empty" else writer_entries(chunk)
+    id_map = IdMap(WRITER_USERS, WRITER_ITEMS)
+    got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+    write_triplet_file(str(got), iter(entries) if source == "generator" else entries, id_map, delimiter)
+    per_line_write(str(want), entries, WRITER_USERS, WRITER_ITEMS, delimiter)
+    assert got.read_bytes() == want.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["got.txt", "want.txt"]
+
+
+def test_idmap_save_bytes_equal_per_line_formula(tmp_path):
+    id_map = IdMap(WRITER_USERS, WRITER_ITEMS)
+    id_map.save(str(tmp_path / "users.map"), str(tmp_path / "items.map"))
+    for name, tokens in (("users.map", WRITER_USERS), ("items.map", WRITER_ITEMS)):
+        want = "".join(f"{tok}\t{j}\n" for j, tok in enumerate(tokens)).encode("utf-8")
+        assert (tmp_path / name).read_bytes() == want
+    assert sorted(os.listdir(tmp_path)) == ["items.map", "users.map"]
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [((-1, 0, 1.0), r"entry \(-1, 0, 1.0\) has user index -1, outside the id map's 2 users"),
+     ((2, 0, 1.0), r"entry \(2, 0, 1.0\) has user index 2, outside the id map's 2 users"),
+     ((0, -3, 2.0), r"entry \(0, -3, 2.0\) has item index -3, outside the id map's 3 items"),
+     ((1, 3, 2.0), r"entry \(1, 3, 2.0\) has item index 3, outside the id map's 3 items")],
+    ids=["negative-user", "past-end-user", "negative-item", "past-end-item"],
+)
+def test_triplet_writer_failing_in_second_chunk_keeps_old_file(tmp_path, monkeypatch, bad, named):
+    monkeypatch.setattr(sparse_data, "WRITE_CHUNK", 2)
+    id_map = IdMap(["u1", "u2"], ["i1", "i2", "i3"])
+    path = tmp_path / "train.csv"
+    path.write_text("old content\n")
+    entries = [(0, 0, 1.0), (1, 2, 2.0), (1, 1, 3.0), bad, (0, 1, 4.0)]
+    with pytest.raises(DataError, match=named):
+        write_triplet_file(str(path), (e for e in entries), id_map)
+    assert path.read_text() == "old content\n"
+    assert os.listdir(tmp_path) == ["train.csv"]
+
+
+def test_idmap_tokens_reject_index_outside_table():
+    id_map = IdMap(["x", "y"], ["p", "q", "r"])
+    for index in (-1, 2):
+        with pytest.raises(DataError, match=f"user index {index} is outside the id map's 2 users"):
+            id_map.user_token(index)
+    for index in (-1, 3):
+        with pytest.raises(DataError, match=f"item index {index} is outside the id map's 3 items"):
+            id_map.item_token(index)
+    assert (id_map.user_token(np.int64(1)), id_map.item_token(2)) == ("y", "r")
 
 
 # ---------------------------------------------------------------- columnar reader against the per-line rule
