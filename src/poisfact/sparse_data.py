@@ -289,9 +289,12 @@ def open_replacing(path: str, binary: bool = False) -> Iterator[IO]:
     """A new file beside ``path`` to write into; it replaces ``path`` when the block completes.
 
     An error inside the block removes the new file and leaves ``path`` as it
-    was, so a failed write never leaves a partial file under the target
-    name. Text is written as UTF-8; the file gets ``open``'s usual
-    permissions.
+    was, so a write that fails, or a process that stops before the rename,
+    never leaves a partial file under the target name. The file is not
+    fsynced, so this does not hold across an operating-system crash or power
+    loss. Text is written as UTF-8. The new file gets ``open``'s usual
+    permissions (the umask's), not those of the file it replaces, and a
+    symlink or hard link at ``path`` is replaced rather than written through.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
@@ -573,23 +576,33 @@ def write_triplet_file(
     """Write internal (u, i, x) entries as external-token triplet text.
 
     Counts are formatted with %.17g, which round-trips float64 exactly, so a
-    written file re-parses to identical values. Lines are joined and written
+    written file re-parses to identical values; within a chunk each distinct
+    float count is formatted once. Lines are joined and written
     ``WRITE_CHUNK`` entries at a time, and the file replaces ``path`` only
     once complete (see :func:`open_replacing`). An index outside the id map
     is a DataError naming the entry; ``path`` is then left as it was.
     """
     users, items = id_map._user_tokens, id_map._item_tokens
     m, n = len(users), len(items)
-    texts = _CountTexts()  # only exact floats: equal values of other types may print otherwise
+    # Holds one chunk's float counts (equal values of other types may print
+    # otherwise). A miss costs more than formatting, so once a chunk finds
+    # more than an eighth of its counts new, the rest are formatted directly.
+    texts = _CountTexts()
     rows = iter(entries)
     with open_replacing(path) as fh:
         while lines := [
             f"{users[u]}{delimiter}{items[i]}{delimiter}"
-            f"{texts[x] if type(x) is float else format(x, '.17g')}\n"
+            f"{texts[x] if texts is not None and type(x) is float else format(x, '.17g')}\n"
             for u, i, x in islice(rows, WRITE_CHUNK)
             if 0 <= u < m and 0 <= i < n or _outside(u, i, x, id_map)
         ]:
             fh.write("".join(lines))
+            if texts is None:
+                continue
+            if len(texts) > WRITE_CHUNK // 8:
+                texts = None
+            else:
+                texts.clear()
 
 
 def read_triplet_file(path: str, delimiter: str = ",", has_header: bool = False) -> Triplets:

@@ -471,6 +471,30 @@ def test_triplet_writer_bytes_equal_per_line_formula(tmp_path, monkeypatch, chun
     assert sorted(os.listdir(tmp_path)) == ["got.txt", "want.txt"]
 
 
+def test_triplet_writer_caches_counts_per_chunk_until_a_chunk_is_mostly_new(tmp_path, monkeypatch):
+    # 16-entry chunks: two of repeated counts, one of new counts, then the mixed counts
+    monkeypatch.setattr(sparse_data, "WRITE_CHUNK", 16)
+    misses = []
+
+    class CountingTexts(sparse_data._CountTexts):
+        def __missing__(self, x):
+            misses.append(x)
+            return super().__missing__(x)
+
+    monkeypatch.setattr(sparse_data, "_CountTexts", CountingTexts)
+    fresh = [k + 0.5 for k in range(16)]
+    counts = [1.0, 2.0] * 16 + fresh + WRITER_COUNTS * 2
+    entries = [(j % len(WRITER_USERS), j % len(WRITER_ITEMS), x) for j, x in enumerate(counts)]
+    id_map = IdMap(WRITER_USERS, WRITER_ITEMS)
+    got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+    write_triplet_file(str(got), entries, id_map)
+    per_line_write(str(want), entries, WRITER_USERS, WRITER_ITEMS)
+    assert got.read_bytes() == want.read_bytes()
+    # each chunk formats its distinct counts once; after the chunk of 16 new
+    # counts (more than 16 // 8) every count is formatted directly
+    assert misses == [1.0, 2.0, 1.0, 2.0] + fresh
+
+
 def test_idmap_save_bytes_equal_per_line_formula(tmp_path):
     id_map = IdMap(WRITER_USERS, WRITER_ITEMS)
     id_map.save(str(tmp_path / "users.map"), str(tmp_path / "items.map"))
