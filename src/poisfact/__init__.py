@@ -11,8 +11,6 @@ and the package ships data ingestion, a ranking evaluator, and a CLI.
 
 from .cli import (
     ModelMeta,
-    RecommendationList,
-    export_model_text,
     load_model,
     main,
     recommend_for_user,
@@ -71,8 +69,6 @@ from .trainer import (
     training_objective,
 )
 from .vector_solvers import (
-    CONJGRAD,
-    PROXGRAD,
     SolverChoice,
     conj_grad_update,
     prox_grad_update,
@@ -82,8 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelMeta",
-    "RecommendationList",
-    "export_model_text",
     "load_model",
     "main",
     "recommend_for_user",
@@ -130,8 +124,6 @@ __all__ = [
     "init_factors",
     "train",
     "training_objective",
-    "CONJGRAD",
-    "PROXGRAD",
     "SolverChoice",
     "conj_grad_update",
     "prox_grad_update",

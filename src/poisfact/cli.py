@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import struct
 import sys
+import tempfile
 import zlib
 from dataclasses import dataclass
 
@@ -178,17 +180,22 @@ def cmd_split(args) -> int:
     data, id_map = build_interactions(triplets)
     pair = split_train_test(data, args.test_fraction, args.min_test_entries, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
-    train_path = os.path.join(args.outdir, f"train.{args.format}")
-    test_path = os.path.join(args.outdir, f"test.{args.format}")
-    users, items, counts = pair.train.entries()
-    write_triplet_file(
-        train_path,
-        zip(users.tolist(), items.tolist(), counts.tolist()),
-        id_map,
-        delimiter,
-    )
-    write_triplet_file(test_path, pair.test, id_map, delimiter)
-    id_map.save(os.path.join(args.outdir, "users.map"), os.path.join(args.outdir, "items.map"))
+    # all four outputs are written into a staging directory and moved over
+    # the targets only once every write has succeeded
+    names = (f"train.{args.format}", f"test.{args.format}", "users.map", "items.map")
+    staging = tempfile.mkdtemp(prefix=".split-", dir=args.outdir)
+    try:
+        staged = [os.path.join(staging, name) for name in names]
+        users, items, counts = pair.train.entries()
+        write_triplet_file(
+            staged[0], zip(users.tolist(), items.tolist(), counts.tolist()), id_map, delimiter
+        )
+        write_triplet_file(staged[1], pair.test, id_map, delimiter)
+        id_map.save(staged[2], staged[3])
+        for path, name in zip(staged, names):
+            os.replace(path, os.path.join(args.outdir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     print(
         f"split {data.nnz} entries of {data.m} users x {data.n} items into "
         f"{pair.train.nnz} train and {len(pair.test)} test entries"

@@ -25,7 +25,7 @@ import numpy as np
 from . import poisson_core
 from .errors import ConfigError, EvaluationError
 from .poisson_core import DOT_FLOOR
-from .sparse_data import SplitPair
+from .sparse_data import SplitPair, row_entries
 from .trainer import FactorModel
 
 # evaluate scores its sampled users in blocks of about this many float64
@@ -199,14 +199,6 @@ def _loglik(counts: np.ndarray, dots: np.ndarray) -> float:
     return float(-dots.sum() + counts @ np.log(np.maximum(dots, DOT_FLOOR)))
 
 
-def _cells(starts: np.ndarray, ends: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Flat cells r * n + values[j] of a block, j over [starts[r], ends[r]) for each row r."""
-    lengths = ends - starts
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    at = np.arange(len(rows)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    return rows * n + values[at]
-
-
 def _rank_block(scores, seen, positive, n_pos, n_neg, k):
     """Per row of a block: AUC pair counts, hits in the top k, and which rows they hold for.
 
@@ -295,19 +287,17 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
         rho = math.nan
     loglik = _loglik(counts, predictions)
 
-    test_users = np.unique(users)
+    # held-out items of each user: a row of the user-sorted entries
+    per_user = np.bincount(users, minlength=model.m)
+    held_ptr = np.concatenate(([0], np.cumsum(per_user)))
+    sorted_items = items[np.argsort(users, kind="stable")]
+    test_users = np.flatnonzero(per_user)
     if len(test_users) > config.sample_users:
         rng = np.random.default_rng(config.seed)
         sampled = rng.choice(test_users, size=config.sample_users, replace=False)
         sampled.sort()  # fixed accumulation order regardless of draw order
     else:
         sampled = test_users
-
-    # held-out items of the sampled users: slices of the user-sorted entries
-    order = np.argsort(users, kind="stable")
-    sorted_users, sorted_items = users[order], items[order]
-    starts = np.searchsorted(sorted_users, sampled, side="left")
-    ends = np.searchsorted(sorted_users, sampled, side="right")
 
     n, k = split.train.n, config.cutoff
     indptr, indices = split.train.csr.indptr, split.train.csr.indices
@@ -317,11 +307,13 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
     p_sum = auc_sum = 0.0
     evaluated = skipped = 0
     for lo in range(0, len(sampled), size):
-        hi = lo + size
-        blk = sampled[lo:hi]
+        blk = sampled[lo : lo + size]
+        # flat cells r * n + i of block row r, below max(2**17, n), so int32 rows do not overflow
         seen = np.zeros(len(blk) * n, dtype=bool)
-        seen[_cells(indptr[blk], indptr[blk + 1], indices, n)] = True
-        held = _cells(starts[lo:hi], ends[lo:hi], sorted_items, n)
+        owner, at = row_entries(indptr, blk)
+        seen[owner * n + indices[at]] = True
+        owner, at = row_entries(held_ptr, blk)
+        held = owner * n + sorted_items[at]
         positive = np.zeros_like(seen)
         positive[held[~seen[held]]] = True  # distinct held-out items outside the history
         seen, positive = seen.reshape(-1, n), positive.reshape(-1, n)
@@ -340,9 +332,9 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
             if exact:
                 p_sum += hits / min(k, n_p + n_n)
             else:  # a partial tie or a NaN: top_n_unseen's index and NaN-last order decide
-                at = lo + rows[j]
-                history = split.train.row(int(sampled[at]))[0]
-                p_sum += precision_at_k(scores[j], sorted_items[starts[at] : ends[at]], k, history)
+                u = int(blk[rows[j]])
+                history = split.train.row(u)[0]
+                p_sum += precision_at_k(scores[j], sorted_items[held_ptr[u] : held_ptr[u + 1]], k, history)
             if has_nan:
                 eligible = ~seen[j]
                 auc_sum += auc_user(scores[j][eligible], positive[j][eligible])

@@ -227,8 +227,8 @@ def full_objective(
     s_a = A.sum(axis=0)
     s_b = B.sum(axis=0)
     total = float(s_a @ s_b)
-    users, items, counts = data.entries()
-    total -= float(counts @ np.log(entry_dots(A, B, users, items, stats, out=dots_out)))
+    dots = entry_dots(A, B, data.user_rows, data.csr.indices, stats, out=dots_out)
+    total -= float(data.csr.data @ np.log(dots))
     if reg.lam != 0.0:
         if reg.kind == "l2":
             total += reg.lam * (float((A * A).sum()) + float((B * B).sum()))

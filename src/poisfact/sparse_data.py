@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, islice, repeat
 from typing import IO, Iterable, Iterator, NoReturn, TextIO
 
@@ -108,20 +109,14 @@ class IdMap:
 
     def user_token(self, index: int) -> str:
         """External token of a user index; an index outside [0, n_users) is a DataError."""
-        try:
-            if index >= 0:  # a negative index would wrap
-                return self._user_tokens[index]
-        except IndexError:
-            pass
+        if 0 <= index < len(self._user_tokens):  # a negative index would wrap
+            return self._user_tokens[index]
         raise DataError(f"user index {index} is outside the id map's {self.n_users} users")
 
     def item_token(self, index: int) -> str:
         """External token of an item index; an index outside [0, n_items) is a DataError."""
-        try:
-            if index >= 0:  # a negative index would wrap
-                return self._item_tokens[index]
-        except IndexError:
-            pass
+        if 0 <= index < len(self._item_tokens):  # a negative index would wrap
+            return self._item_tokens[index]
         raise DataError(f"item index {index} is outside the id map's {self.n_items} items")
 
     def save(self, users_path: str, items_path: str) -> None:
@@ -165,7 +160,8 @@ class SparseInteractions:
     Both views store exactly the same entries; within each row and column the
     indices are strictly increasing, and duplicate (u, i) pairs from the input
     are merged by summation before storage. The finished object is immutable
-    and safe to read from any number of threads.
+    and safe to read from any number of threads; its row indices
+    ``user_rows`` and ``item_rows`` are built on first use and read-only.
 
     Attributes
     ----------
@@ -179,10 +175,8 @@ class SparseInteractions:
     def __init__(self, csr: sp.csr_matrix, csc: sp.csc_matrix):
         self.csr = csr
         self.csc = csc
-        for view in (csr, csc):
-            view.data.flags.writeable = False
-            view.indices.flags.writeable = False
-            view.indptr.flags.writeable = False
+        for array in (csr.data, csr.indices, csr.indptr, csc.data, csc.indices, csc.indptr):
+            _read_only(array)
 
     @classmethod
     def from_entries(
@@ -217,8 +211,7 @@ class SparseInteractions:
         finite = np.isfinite(csr.data)
         if not finite.all():
             j = int(np.argmin(finite))  # the first merged entry that overflowed
-            u = int(np.searchsorted(csr.indptr, j, side="right")) - 1
-            raise _NonFiniteMerge(u, int(csr.indices[j]))
+            raise _NonFiniteMerge(int(row_entries(csr.indptr)[0][j]), int(csr.indices[j]))
         csc = csr.tocsc()
         csc.sort_indices()
         return cls(csr, csc)
@@ -253,10 +246,19 @@ class SparseInteractions:
     def col_degrees(self) -> np.ndarray:
         return np.diff(self.csc.indptr)
 
+    @cached_property
+    def user_rows(self) -> np.ndarray:
+        """User of each stored entry in ``csr`` order: the row index of the user-major view."""
+        return _read_only(row_entries(self.csr.indptr)[0])
+
+    @cached_property
+    def item_rows(self) -> np.ndarray:
+        """Item of each stored entry in ``csc`` order: the row index of the item-major view."""
+        return _read_only(row_entries(self.csc.indptr)[0])
+
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All stored entries as (users, items, counts) in row-major order."""
-        users = np.repeat(np.arange(self.m, dtype=np.int64), self.row_degrees)
-        return users, self.csr.indices.astype(np.int64), self.csr.data
+        """All stored entries as (users, items, counts) in row-major order; users built afresh."""
+        return row_entries(self.csr.indptr)[0], self.csr.indices, self.csr.data
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseInteractions):
@@ -269,6 +271,22 @@ class SparseInteractions:
         )
 
     __hash__ = None
+
+
+def row_entries(indptr: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Row of each entry of CSR rows ``rows`` (numbered by place in ``rows``, in ``indptr``'s dtype) and
+    its position in the stored arrays; every entry's row and None when ``rows`` is None."""
+    if rows is None:
+        return np.repeat(np.arange(len(indptr) - 1, dtype=indptr.dtype), np.diff(indptr)), None
+    starts = indptr[rows]
+    degrees = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows), dtype=indptr.dtype), degrees)
+    return owner, np.arange(len(owner)) + np.repeat(starts - np.cumsum(degrees) + degrees, degrees)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,6 @@ def train(
     user_seconds, item_seconds, objective_seconds = [], [], []
 
     proxgrad = choice.method == PROXGRAD
-    by_user, by_item = data.csr, data.csc.T  # the counts as CSR, by user and by item
     # Floored dots of (A, B) in row-major entry order: the objective fills them,
     # the next proximal-gradient user step reads them and recounts their clamps.
     dots = np.empty(data.nnz) if proxgrad else None
@@ -193,20 +192,20 @@ def train(
         data.m, data.n, data.nnz, config.k, choice.method, config.iters,
     )
 
-    def half(X, fixed, counts, alpha, reused=None):
+    def half(X, fixed, counts, rows, alpha, reused=None):
         s = fixed.sum(axis=0)
         if proxgrad:
-            return prox_grad_matrix(counts, X, fixed, s, alpha, reg, choice.tau, clamps, reused)
-        return conj_grad_matrix(counts, X, fixed, s, reg, choice.max_updates, clamps)
+            return prox_grad_matrix(counts, rows, X, fixed, s, alpha, reg, choice.tau, clamps, reused)
+        return conj_grad_matrix(counts, rows, X, fixed, s, reg, choice.max_updates, clamps)
 
     for t in range(config.iters):
         started = time.perf_counter()
         try:
             clamps.bump(reused_clamps)
-            model.A = half(model.A, model.B, by_user, alpha, reused)
+            model.A = half(model.A, model.B, data.csr, data.user_rows, alpha, reused)
             _check_finite(model.A, "user")
             user_done = time.perf_counter()
-            model.B = half(model.B, model.A, by_item, alpha)
+            model.B = half(model.B, model.A, data.csc.T, data.item_rows, alpha)  # CSR by item
             _check_finite(model.B, "item")
             item_done = time.perf_counter()
         except NumericFailureError as exc:

@@ -24,6 +24,7 @@ from .poisson_core import (
     entry_dots,
     prox_operator,
 )
+from .sparse_data import row_entries
 
 PROXGRAD = "proxgrad"
 CONJGRAD = "cg"
@@ -63,15 +64,10 @@ def _nonfinite(what: str, index: int | None) -> NumericFailureError:
     return NumericFailureError(f"non-finite {what} update{where}")
 
 
-def _entry_rows(counts: sp.csr_matrix) -> np.ndarray:
-    """Row index of every stored entry, in CSR order."""
-    return np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
-
-
-def _one_row(view: RegressionView) -> sp.csr_matrix:
-    """The counts of a per-vector view as a one-row CSR over ``view.rows``."""
+def _one_row(view: RegressionView) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The counts of a per-vector view as a one-row CSR over ``view.rows``, and its entries' rows."""
     q = len(view.counts)
-    return sp.csr_matrix((view.counts, np.arange(q), [0, q]), shape=(1, q))
+    return sp.csr_matrix((view.counts, np.arange(q), [0, q]), shape=(1, q)), np.zeros(q, np.int64)
 
 
 def _ratio_times(counts: sp.csr_matrix, dots: np.ndarray, fixed: np.ndarray) -> np.ndarray:
@@ -86,6 +82,7 @@ def _ratio_times(counts: sp.csr_matrix, dots: np.ndarray, fixed: np.ndarray) -> 
 
 def prox_grad_matrix(
     counts: sp.csr_matrix,
+    rows: np.ndarray,
     X: np.ndarray,
     fixed: np.ndarray,
     s: np.ndarray,
@@ -99,13 +96,13 @@ def prox_grad_matrix(
 
     ``counts`` (rows of X by rows of ``fixed``) divided by the entries' dots,
     times ``fixed``, is the negated gradient; empty rows get exactly zero.
+    ``rows`` holds the row of each stored entry of ``counts`` (row_entries).
     Each row gets the same bits as when updated alone (prox_grad_update).
     ``dots`` are the first step's floored dots if known, their clamps the
     caller's to count.
     """
     if alpha <= 0:
         raise ValueError(f"step size must be positive, got {alpha}")
-    rows = _entry_rows(counts)
     for step in range(tau):
         if step or dots is None:
             dots = entry_dots(X, fixed, rows, counts.indices, stats)
@@ -137,32 +134,29 @@ def prox_grad_update(
         If the result is not finite; the message carries ``index`` when the
         caller supplies the row being updated.
     """
-    x = prox_grad_matrix(_one_row(view), x[None, :], view.rows, view.s, alpha, reg, tau, stats)[0]
+    x = prox_grad_matrix(*_one_row(view), x[None, :], view.rows, view.s, alpha, reg, tau, stats)[0]
     if not np.isfinite(x).all():
         raise _nonfinite("proximal-gradient", index)
     return x
 
 
-def _take_rows(counts: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
-    """CSR rows ``rows`` (ascending, distinct) of counts; counts itself if that is all of them.
+def _take_rows(counts: sp.csr_matrix, rows: np.ndarray, picked: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``counts[picked]`` (rows ascending, distinct) without scipy's fancy indexing, and its entries' rows.
 
-    Equal to ``counts[rows]``, built from the selected degrees and start
-    offsets without scipy's fancy row indexing.
+    ``rows`` holds counts' entry rows; picking every row returns counts and ``rows`` themselves.
     """
-    if len(rows) == counts.shape[0]:
-        return counts
-    starts = counts.indptr[rows]
-    degrees = counts.indptr[rows + 1] - starts
-    indptr = np.zeros(len(rows) + 1, dtype=counts.indptr.dtype)
-    np.cumsum(degrees, out=indptr[1:])
-    picked = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], degrees)
-    return sp.csr_matrix(
-        (counts.data[picked], counts.indices[picked], indptr), shape=(len(rows), counts.shape[1])
-    )
+    if len(picked) == counts.shape[0]:
+        return counts, rows
+    owner, at = row_entries(counts.indptr, picked)
+    indptr = np.zeros(len(picked) + 1, dtype=counts.indptr.dtype)
+    np.cumsum(counts.indptr[picked + 1] - counts.indptr[picked], out=indptr[1:])
+    shape = (len(picked), counts.shape[1])
+    return sp.csr_matrix((counts.data[at], counts.indices[at], indptr), shape=shape), owner
 
 
 def _row_objectives(
     counts: sp.csr_matrix,
+    rows: np.ndarray,
     Y: np.ndarray,
     fixed: np.ndarray,
     s: np.ndarray,
@@ -170,7 +164,6 @@ def _row_objectives(
     stats: ClampStats | None,
 ) -> np.ndarray:
     """Full objective of every row of Y, s.y + penalty - sum c*log(dots), dots clamped."""
-    rows = _entry_rows(counts)
     dots = entry_dots(Y, fixed, rows, counts.indices, stats)
     f = (Y * s).sum(axis=1)
     if reg.lam != 0.0:
@@ -180,6 +173,7 @@ def _row_objectives(
 
 def _row_gradients(
     counts: sp.csr_matrix,
+    rows: np.ndarray,
     Y: np.ndarray,
     fixed: np.ndarray,
     s: np.ndarray,
@@ -191,7 +185,7 @@ def _row_gradients(
     On the nonnegative orthant the l1 penalty is linear, so the full
     objective stays smooth there.
     """
-    dots = entry_dots(Y, fixed, _entry_rows(counts), counts.indices, stats)
+    dots = entry_dots(Y, fixed, rows, counts.indices, stats)
     g = s - _ratio_times(counts, dots, fixed)
     if reg.lam != 0.0:
         g = g + (2.0 * reg.lam * Y if reg.kind == "l2" else reg.lam)
@@ -200,6 +194,7 @@ def _row_gradients(
 
 def conj_grad_matrix(
     counts: sp.csr_matrix,
+    rows: np.ndarray,
     X: np.ndarray,
     fixed: np.ndarray,
     s: np.ndarray,
@@ -222,11 +217,11 @@ def conj_grad_matrix(
     trial steps are per-row vectors, and stops, acceptances and resets are
     row masks; each backtrack evaluates only the rows still searching. Every
     reduction stays inside its row, so a row gets the same bits as when
-    updated alone (conj_grad_update).
+    updated alone (conj_grad_update). ``rows`` is as for prox_grad_matrix.
     """
     X = np.array(X, dtype=np.float64, copy=True)
-    f = _row_objectives(counts, X, fixed, s, reg, stats)
-    g = _row_gradients(counts, X, fixed, s, reg, stats)
+    f = _row_objectives(counts, rows, X, fixed, s, reg, stats)
+    g = _row_gradients(counts, rows, X, fixed, s, reg, stats)
     d = np.zeros_like(X)
     g_free_prev = np.zeros_like(X)
     active_prev = np.zeros(X.shape, dtype=bool)
@@ -260,7 +255,7 @@ def conj_grad_matrix(
         for _ in range(MAX_BACKTRACKS):
             xs = x[search]
             trial = np.maximum(0.0, xs + t[search, None] * dl[search])
-            f_trial = _row_objectives(_take_rows(counts, live[search]), trial, fixed, s, reg, stats)
+            f_trial = _row_objectives(*_take_rows(counts, rows, live[search]), trial, fixed, s, reg, stats)
             gain = (gl[search] * (trial - xs)).sum(axis=1)
             # fmin(0, gain) keeps acceptance monotone even if projection bends
             # the step away from a descent direction.
@@ -276,7 +271,7 @@ def conj_grad_matrix(
         X[live], f[live] = cand[accepted], f_cand[accepted]
         d[live], g_free_prev[live], active_prev[live] = dl[accepted], g_free[accepted], active[accepted]
         fresh[live] = False
-        g[live] = _row_gradients(_take_rows(counts, live), X[live], fixed, s, reg, stats)
+        g[live] = _row_gradients(*_take_rows(counts, rows, live), X[live], fixed, s, reg, stats)
         step[live] = t[accepted] * 2.0
     return X
 
@@ -299,7 +294,7 @@ def conj_grad_update(
         If the result is not finite; the message carries ``index`` when the
         caller supplies the row being updated.
     """
-    x = conj_grad_matrix(_one_row(view), x[None, :], view.rows, view.s, reg, max_updates, stats)[0]
+    x = conj_grad_matrix(*_one_row(view), x[None, :], view.rows, view.s, reg, max_updates, stats)[0]
     if not np.isfinite(x).all():
         raise _nonfinite("conjugate-gradient", index)
     return x

@@ -5,6 +5,7 @@ The model container is checked for bit-exact round trips and for refusing
 corrupted, truncated, or foreign files.
 """
 
+import errno
 import json
 
 import numpy as np
@@ -91,6 +92,28 @@ def test_split_train_test_partition_parses_back(workspace):
     test_pairs = {(user, item) for user, item, _ in test_part}
     assert not train_pairs & test_pairs
     assert train_pairs <= full_pairs and test_pairs <= full_pairs
+
+
+def test_split_failing_partway_keeps_the_previous_outputs(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["split", str(write_corpus(tmp_path / "a.csv", seed=0)), str(out)]) == 0
+    first = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(first) == ["items.map", "test.csv", "train.csv", "users.map"]
+    second = write_corpus(tmp_path / "b.csv", seed=1, m=25)
+
+    def no_space(self, users_path, items_path):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(IdMap, "save", no_space)
+    assert main(["split", str(second), str(out)]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    # all four files are the first split's, and no staging directory is left
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+    monkeypatch.undo()  # the second input does split into other files
+    assert main(["split", str(second), str(out)]) == 0
+    after = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(after) == sorted(first)
+    assert all(after[name] != first[name] for name in first)
 
 
 def test_split_bad_fraction_exits_2(tmp_path, capsys):

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from test_vector_solvers import reference_cg
 
+import poisfact.sparse_data as sparse_data
+import poisfact.vector_solvers as vector_solvers
 from poisfact import (
     ClampStats,
     ConfigError,
@@ -27,9 +29,11 @@ from poisfact import (
     full_objective,
     init_factors,
     prox_grad_update,
+    split_train_test,
     train,
     training_objective,
 )
+from poisfact.sparse_data import row_entries
 
 
 def random_data(rng, m=12, n=9, density=0.3):
@@ -328,6 +332,29 @@ def test_train_reports_seconds_per_phase(solver):
         assert all(sec >= 0 for sec in seconds)
     for t, total in enumerate(report.iteration_seconds):
         assert sum(seconds[t] for seconds in phases) <= total
+
+
+@pytest.mark.parametrize("solver", [SolverChoice(), SolverChoice(method="cg", max_updates=3)])
+def test_train_builds_each_row_index_once(monkeypatch, solver):
+    built = []
+
+    def counting(indptr, rows=None):
+        if rows is None:  # a whole matrix's row index, not a subset's
+            built.append(indptr)
+        return row_entries(indptr, rows)
+
+    for module in (sparse_data, vector_solvers):
+        monkeypatch.setattr(module, "row_entries", counting)
+    data = random_data(np.random.default_rng(61), m=40, n=30)
+    split = split_train_test(data, 0.2, 1, seed=3)
+    assert "user_rows" not in vars(data) and "item_rows" not in vars(data)  # split only
+    built.clear()
+    config = TrainConfig(k=2, alpha=1e-2, lam=1.0, iters=3, seed=1, solver=solver)
+    train(split.train, config)
+    assert [id(indptr) for indptr in built] == [id(split.train.csr.indptr), id(split.train.csc.indptr)]
+    for rows, view in ((split.train.user_rows, split.train.csr), (split.train.item_rows, split.train.csc)):
+        assert rows.dtype == view.indptr.dtype and not rows.flags.writeable
+        assert np.array_equal(rows, np.repeat(np.arange(len(view.indptr) - 1), np.diff(view.indptr)))
 
 
 # ---------------------------------------------------------------- failure paths

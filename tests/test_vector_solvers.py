@@ -30,6 +30,7 @@ from poisfact import (
     prox_operator,
 )
 from poisfact.poisson_core import DOT_FLOOR
+from poisfact.sparse_data import row_entries
 from poisfact.vector_solvers import _take_rows, conj_grad_matrix, prox_grad_matrix
 
 
@@ -247,7 +248,7 @@ def test_prox_grad_matrix_matches_per_row_blas_oracle(tau, reg):
     counts, X, fixed, s = clamping_instance(rng)
     alpha = 1e-3
     stats = ClampStats()
-    got = prox_grad_matrix(counts, X, fixed, s, alpha, reg, tau, stats)
+    got = prox_grad_matrix(counts, row_entries(counts.indptr)[0], X, fixed, s, alpha, reg, tau, stats)
     want, clamped = blas_rows_oracle(counts, X, fixed, s, alpha, reg, tau)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert stats.clamped == clamped >= 8  # rows 5 and 8 clamp at their first step
@@ -269,31 +270,40 @@ def test_prox_grad_matrix_reuses_given_dots():
     rows = np.repeat(np.arange(X.shape[0]), np.diff(counts.indptr))
     dots = np.maximum((X[rows] * fixed[counts.indices]).sum(axis=1), DOT_FLOOR)
     stats = ClampStats()
-    reused = prox_grad_matrix(counts, X, fixed, s, 1e-3, reg, 2, stats, dots=dots)
-    fresh = prox_grad_matrix(counts, X, fixed, s, 1e-3, reg, 2)
+    reused = prox_grad_matrix(counts, rows, X, fixed, s, 1e-3, reg, 2, stats, dots=dots)
+    fresh = prox_grad_matrix(counts, rows, X, fixed, s, 1e-3, reg, 2)
     assert np.array_equal(reused, fresh)
     assert stats.clamped == 0  # the given dots' clamps are the caller's
 
 
 def test_take_rows_equals_scipy_row_indexing():
     rng = np.random.default_rng(40)
-    counts = clamping_instance(rng)[0]  # rows 3, 11 and 17 hold no entries
-    r = counts.shape[0]
+    narrow = clamping_instance(rng)[0]  # rows 3, 11 and 17 hold no entries
+    wide = narrow.copy()
+    wide.indices, wide.indptr = narrow.indices.astype(np.int64), narrow.indptr.astype(np.int64)
+    assert narrow.indptr.dtype == np.int32 and wide.indptr.dtype == np.int64
+    r = narrow.shape[0]
     picks = [[], [3], [5], [3, 11, 17], [0, 3, 4, 11, 12, 17, r - 1], list(range(1, r)), list(range(r))]
     picks += [np.flatnonzero(rng.random(r) < 0.5) for _ in range(5)]
-    for pick in picks:
-        pick = np.asarray(pick, dtype=np.int64)
-        got, want = _take_rows(counts, pick), counts[pick]
-        assert got.shape == want.shape
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    for counts in (narrow, wide):
+        rows = np.repeat(np.arange(r), np.diff(counts.indptr))
+        for pick in picks:
+            pick = np.asarray(pick, dtype=np.int64)
+            (got, got_rows), want = _take_rows(counts, rows, pick), counts[pick]
+            assert got.shape == want.shape
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+            degrees = np.diff(counts.indptr)[pick]
+            assert np.array_equal(got_rows, np.repeat(np.arange(len(pick)), degrees))
+            if len(pick) == r:  # the all-rows shortcut hands back the given arrays
+                assert got is counts and got_rows is rows
 
 
 def test_prox_grad_matrix_rejects_bad_step():
     rng = np.random.default_rng(39)
     counts, X, fixed, s = clamping_instance(rng)
     with pytest.raises(ValueError, match="positive"):
-        prox_grad_matrix(counts, X, fixed, s, 0.0, L2_FREE)
+        prox_grad_matrix(counts, row_entries(counts.indptr)[0], X, fixed, s, 0.0, L2_FREE)
 
 
 # ---------------------------------------------------------------- conjugate gradient
@@ -427,7 +437,7 @@ def test_conj_grad_matrix_rows_are_one_row_calls(reg):
     rng = np.random.default_rng(42)
     counts, X, fixed, s = collapse_instance(rng)
     stats = ClampStats()
-    got = conj_grad_matrix(counts, X, fixed, s, reg, 5, stats)
+    got = conj_grad_matrix(counts, row_entries(counts.indptr)[0], X, fixed, s, reg, 5, stats)
     tally = ClampStats()
     for r in range(X.shape[0]):
         view = row_view(counts, X, fixed, s, r)
@@ -446,7 +456,7 @@ def test_conj_grad_matrix_matches_reference_iterates():
         reg = CG_REGS[trial % 3]
         updates = int(rng.integers(1, 6))
         stats = ClampStats()
-        got = conj_grad_matrix(counts, X, fixed, s, reg, updates, stats)
+        got = conj_grad_matrix(counts, row_entries(counts.indptr)[0], X, fixed, s, reg, updates, stats)
         tally = ClampStats()
         for r in range(X.shape[0]):
             want = reference_cg(X[r], row_view(counts, X, fixed, s, r), reg, updates, tally)
@@ -464,7 +474,7 @@ def test_conj_grad_matrix_matches_reference_objective():
         counts, X, fixed, s = collapse_instance(rng, r=30, c=int(rng.integers(5, 40)))
         reg = CG_REGS[trial % 3]
         updates = (10, 20, 30)[trial % 3]
-        got = conj_grad_matrix(counts, X, fixed, s, reg, updates)
+        got = conj_grad_matrix(counts, row_entries(counts.indptr)[0], X, fixed, s, reg, updates)
         for r in range(X.shape[0]):
             view = row_view(counts, X, fixed, s, r)
             want = joint_objective(reference_cg(X[r], view, reg, updates), view, reg)
