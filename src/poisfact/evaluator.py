@@ -5,14 +5,12 @@ that user's training history, with the user's test items as the positive
 class; they are averaged over a seeded random sample of users. ``evaluate``
 takes the sampled users in blocks and sorts each user's eligible negatives
 once: binary searches of the positives in them give both the AUC midranks
-and each positive's rank for precision; a user whose scores are all equal
-takes the first k eligible items. Precision falls back to
-:func:`precision_at_k`, which ranks through :func:`top_n_unseen` like
-recommend, for any other user with a positive tied to a negative; a NaN
-among a user's eligible scores sends both metrics to it and
-:func:`auc_user`. Every result keeps those functions' bits. The global
-metrics (Pearson correlation, test Poisson log-likelihood) pool the whole
-test set.
+and each positive's rank for precision. A user with a positive tied to a
+negative (such as one whose scores are all equal) or with a NaN among its
+eligible scores takes its top k from :func:`top_n_unseen`, the ranking
+recommend uses, and a NaN makes its AUC NaN. Every result keeps the bits of
+:func:`precision_at_k` and :func:`auc_user`. The global metrics (Pearson
+correlation, test Poisson log-likelihood) pool the whole test set.
 """
 
 from __future__ import annotations
@@ -99,8 +97,9 @@ def top_n_unseen(scores: np.ndarray, seen: np.ndarray, n: int) -> np.ndarray:
 
     Exactly the order of a stable sort of the eligible items on their negated
     scores (compared as float64): ties by ascending item index, NaN last, and
-    all eligible items when fewer than n. An n below 1 raises ValueError.
-    Recommend and ``precision_at_k`` both rank through here.
+    all eligible items when fewer than n. ``seen``, item indices or a boolean
+    mask, is not checked. An n below 1 raises ValueError. Recommend,
+    ``evaluate`` and ``precision_at_k`` all rank through here.
 
     No sort of the catalogue: an all-tied score vector (an all-zero user row)
     gives the first n eligible items. Otherwise seen items get a NaN key, and
@@ -120,7 +119,7 @@ def top_n_unseen(scores: np.ndarray, seen: np.ndarray, n: int) -> np.ndarray:
             return short[np.argsort(key[short], kind="stable")[:n]]
     eligible = np.ones(len(key), dtype=bool)
     eligible[seen] = False
-    candidates = np.flatnonzero(eligible)
+    candidates = eligible.nonzero()[0]
     if all_tied:
         return candidates[:n]
     # stable sort on negated scores: equal scores keep ascending item order
@@ -137,16 +136,22 @@ def precision_at_k(
 
     ``scores`` covers all n items; items in ``train_items`` are excluded
     before ranking. When fewer than k eligible items exist the fraction is
-    over the items actually ranked; a k below 1 raises ValueError. The top k
-    are those of :func:`top_n_unseen`, the ranking recommend uses.
+    over the items actually ranked. A k below 1, or an index outside
+    [0, len(scores)) in either list, raises ValueError. The top k are those
+    of :func:`top_n_unseen`, the ranking recommend uses.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    top = top_n_unseen(scores, np.asarray(train_items, dtype=np.int64), k)
+    positives, train_items = np.asarray(positives, dtype=np.int64), np.asarray(train_items, dtype=np.int64)
+    for what, at in (("positive", positives), ("train item", train_items)):
+        outside = (at < 0) | (at >= len(scores))
+        if outside.any():  # a negative index would wrap onto the last items
+            raise ValueError(f"{what} {at[outside.argmax()]} lies outside the {len(scores)} scored items")
+    top = top_n_unseen(scores, train_items, k)
     if not len(top):
         return 0.0
     positive = np.zeros(len(scores), dtype=bool)
-    positive[np.asarray(positives, dtype=np.int64)] = True
+    positive[positives] = True
     return int(np.count_nonzero(positive[top])) / len(top)
 
 
@@ -200,7 +205,7 @@ def _loglik(counts: np.ndarray, dots: np.ndarray) -> float:
 
 
 def _rank_block(scores, seen, positive, n_pos, n_neg, k):
-    """Per row of a block: AUC pair counts, hits in the top k, and which rows they hold for.
+    """Per row of a block: AUC pair counts, hits in the top k, and which rows hold a NaN.
 
     ``seen`` and ``positive`` mask each row's history and eligible positives.
     A sorted copy with both masked to NaN (NaN sorts last) opens each row with
@@ -208,11 +213,10 @@ def _rank_block(scores, seen, positive, n_pos, n_neg, k):
     there count the negatives below and tied with it. When no positive ties a
     negative, a positive's rank is the negatives plus the positives above it
     (tied positives fill the same ranks in either order), and the hits are
-    the positives ranked below k. When every score of a row is equal, the
-    top k are its first k eligible items by index, as in
-    :func:`top_n_unseen`. Lists: below, ties, hits, exact (the hits hold: no
-    positive ties a negative, or every score is equal, and no eligible score
-    is NaN) and has_nan.
+    the positives ranked below k. A row with a positive tied to a negative
+    (every row whose scores are all equal) or with a NaN among its eligible
+    scores takes its hits from :func:`top_n_unseen`, recommend's ranking.
+    Lists: below, ties, hits and has_nan.
     """
     negatives = np.where(seen | positive, np.nan, scores)
     negatives.sort(axis=1)
@@ -232,14 +236,9 @@ def _rank_block(scores, seen, positive, n_pos, n_neg, k):
     hits = np.bincount(owner[rank < k], minlength=len(scores))
     has_nan = np.isnan(negatives[np.arange(len(scores)), n_neg - 1])
     has_nan[owner[np.isnan(pos)]] = True
-    exact = (ties == 0) & ~has_nan
-    # every score equal (an all-zero user row): the top k are the first k eligible items;
-    # row by row, since copies of these rows would double the block's memory
-    for r in np.flatnonzero(~exact & ~has_nan).tolist():
-        if scores[r].min() == scores[r].max():
-            hits[r] = np.count_nonzero(positive[r, np.flatnonzero(~seen[r])[:k]])
-            exact[r] = True
-    return below.tolist(), ties.tolist(), hits.tolist(), exact.tolist(), has_nan.tolist()
+    for r in np.flatnonzero((ties > 0) | has_nan).tolist():
+        hits[r] = np.count_nonzero(positive[r, top_n_unseen(scores[r], seen[r], k)])
+    return below.tolist(), ties.tolist(), hits.tolist(), has_nan.tolist()
 
 
 def _heldout(model: FactorModel, test: list[tuple[int, int, float]]):
@@ -328,19 +327,11 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
         for j, u in enumerate(blk[rows].tolist()):
             scores[j] = score_user(model, u)
         ranked = zip(n_pos.tolist(), n_neg.tolist(), *_rank_block(scores, seen, positive, n_pos, n_neg, k))
-        for j, (n_p, n_n, below, ties, hits, exact, has_nan) in enumerate(ranked):
-            if exact:
-                p_sum += hits / min(k, n_p + n_n)
-            else:  # a partial tie or a NaN: top_n_unseen's index and NaN-last order decide
-                u = int(blk[rows[j]])
-                history = split.train.row(u)[0]
-                p_sum += precision_at_k(scores[j], sorted_items[held_ptr[u] : held_ptr[u + 1]], k, history)
-            if has_nan:
-                eligible = ~seen[j]
-                auc_sum += auc_user(scores[j][eligible], positive[j][eligible])
-            else:  # auc_user's integer pair counts and expression
-                auc_sum += (below + 0.5 * ties) / (n_p * n_n)
-            evaluated += 1
+        for n_p, n_n, below, ties, hits, has_nan in ranked:
+            p_sum += hits / min(k, n_p + n_n)
+            # auc_user's integer pair counts and expression, and its NaN
+            auc_sum += math.nan if has_nan else (below + 0.5 * ties) / (n_p * n_n)
+        evaluated += len(rows)
     if evaluated == 0:
         raise EvaluationError("no evaluable users: every sampled user lacked a positive or negative item")
     return EvalReport(

@@ -97,7 +97,9 @@ class TrainReport:
 
     ``user_seconds``, ``item_seconds`` and ``objective_seconds`` hold, per
     iteration, the wall time of its user half, item half and objective; they
-    sum to at most that iteration's ``iteration_seconds``.
+    sum to at most that iteration's ``iteration_seconds``. ``clamp_events``
+    counts floored dots once per gather (CG gathers each point it scores
+    once) and again where a proximal-gradient step reuses the objective's.
     """
 
     iterations: int

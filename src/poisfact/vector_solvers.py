@@ -154,7 +154,7 @@ def _take_rows(counts: sp.csr_matrix, rows: np.ndarray, picked: np.ndarray) -> t
     return sp.csr_matrix((counts.data[at], counts.indices[at], indptr), shape=shape), owner
 
 
-def _row_objectives(
+def _objective_and_gradient(
     counts: sp.csr_matrix,
     rows: np.ndarray,
     Y: np.ndarray,
@@ -162,34 +162,19 @@ def _row_objectives(
     s: np.ndarray,
     reg: RegularizationSpec,
     stats: ClampStats | None,
-) -> np.ndarray:
-    """Full objective of every row of Y, s.y + penalty - sum c*log(dots), dots clamped."""
-    dots = entry_dots(Y, fixed, rows, counts.indices, stats)
-    f = (Y * s).sum(axis=1)
-    if reg.lam != 0.0:
-        f = f + reg.lam * ((Y * Y).sum(axis=1) if reg.kind == "l2" else np.abs(Y).sum(axis=1))
-    return f - np.bincount(rows, counts.data * np.log(dots), minlength=len(Y))
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full objective of every row of Y, s.y + penalty - sum c*log(dots), and its gradient.
 
-
-def _row_gradients(
-    counts: sp.csr_matrix,
-    rows: np.ndarray,
-    Y: np.ndarray,
-    fixed: np.ndarray,
-    s: np.ndarray,
-    reg: RegularizationSpec,
-    stats: ClampStats | None,
-) -> np.ndarray:
-    """Gradient of every row's full objective, dots clamped.
-
-    On the nonnegative orthant the l1 penalty is linear, so the full
-    objective stays smooth there.
+    Both come from one gather of the dots, clamped. On the nonnegative orthant
+    the l1 penalty is linear, so the full objective stays smooth there.
     """
     dots = entry_dots(Y, fixed, rows, counts.indices, stats)
+    f = (Y * s).sum(axis=1)
     g = s - _ratio_times(counts, dots, fixed)
     if reg.lam != 0.0:
+        f = f + reg.lam * ((Y * Y).sum(axis=1) if reg.kind == "l2" else np.abs(Y).sum(axis=1))
         g = g + (2.0 * reg.lam * Y if reg.kind == "l2" else reg.lam)
-    return g
+    return f - np.bincount(rows, counts.data * np.log(dots), minlength=len(Y)), g
 
 
 def conj_grad_matrix(
@@ -215,13 +200,14 @@ def conj_grad_matrix(
 
     All rows run in lockstep: step sizes, Polak-Ribiere coefficients and
     trial steps are per-row vectors, and stops, acceptances and resets are
-    row masks; each backtrack evaluates only the rows still searching. Every
-    reduction stays inside its row, so a row gets the same bits as when
-    updated alone (conj_grad_update). ``rows`` is as for prox_grad_matrix.
+    row masks; each backtrack evaluates only the rows still searching, and an
+    accepted trial keeps the gradient gathered with its objective, so
+    ``stats`` counts each point's clamps once. Every reduction stays inside
+    its row, so a row gets the same bits as when updated alone
+    (conj_grad_update). ``rows`` is as for prox_grad_matrix.
     """
     X = np.array(X, dtype=np.float64, copy=True)
-    f = _row_objectives(counts, rows, X, fixed, s, reg, stats)
-    g = _row_gradients(counts, rows, X, fixed, s, reg, stats)
+    f, g = _objective_and_gradient(counts, rows, X, fixed, s, reg, stats)
     d = np.zeros_like(X)
     g_free_prev = np.zeros_like(X)
     active_prev = np.zeros(X.shape, dtype=bool)
@@ -249,29 +235,29 @@ def conj_grad_matrix(
 
         t = step[live]
         cand = np.empty_like(x)
-        f_cand = np.empty(len(live))
+        f_cand, g_cand = np.empty(len(live)), np.empty_like(x)
         accepted = np.zeros(len(live), dtype=bool)
         search = np.arange(len(live))
         for _ in range(MAX_BACKTRACKS):
             xs = x[search]
             trial = np.maximum(0.0, xs + t[search, None] * dl[search])
-            f_trial = _row_objectives(*_take_rows(counts, rows, live[search]), trial, fixed, s, reg, stats)
+            sub = _take_rows(counts, rows, live[search])  # the searching rows' counts and entry rows
+            f_trial, g_trial = _objective_and_gradient(*sub, trial, fixed, s, reg, stats)
             gain = (gl[search] * (trial - xs)).sum(axis=1)
             # fmin(0, gain) keeps acceptance monotone even if projection bends
             # the step away from a descent direction.
             ok = f_trial <= f[live[search]] + ARMIJO_C * np.fmin(0.0, gain)
             hit = search[ok]
-            cand[hit], f_cand[hit], accepted[hit] = trial[ok], f_trial[ok], True
+            cand[hit], f_cand[hit], g_cand[hit], accepted[hit] = trial[ok], f_trial[ok], g_trial[ok], True
             search = search[~ok]
             if not len(search):
                 break
             t[search] *= ARMIJO_SHRINK
 
         live = live[accepted]
-        X[live], f[live] = cand[accepted], f_cand[accepted]
+        X[live], f[live], g[live] = cand[accepted], f_cand[accepted], g_cand[accepted]
         d[live], g_free_prev[live], active_prev[live] = dl[accepted], g_free[accepted], active[accepted]
         fresh[live] = False
-        g[live] = _row_gradients(*_take_rows(counts, rows, live), X[live], fixed, s, reg, stats)
         step[live] = t[accepted] * 2.0
     return X
 

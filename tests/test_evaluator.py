@@ -232,6 +232,20 @@ def test_precision_rejects_cutoff_below_one():
             precision_at_k(np.arange(10.0), np.array([9]), k, np.array([], dtype=int))
 
 
+def test_precision_rejects_indices_outside_the_scores():
+    scores = np.arange(4.0)
+    cases = [
+        ([-1], [], "positive -1"),  # a negative index would wrap onto the last item
+        ([4], [], "positive 4"),
+        ([0], [2, -1], "train item -1"),
+        ([0, 9, -3], [7], "positive 9"),  # the first index outside, positives first
+    ]
+    for positives, train_items, bad in cases:
+        with pytest.raises(ValueError, match=f"{bad} lies outside the 4 scored items"):
+            precision_at_k(scores, np.array(positives), 1, np.array(train_items, dtype=int))
+    assert precision_at_k(scores, np.array([3]), 1, np.array([0])) == 1.0  # the edges are valid
+
+
 def test_top_n_unseen_rejects_count_below_one():
     for n in (0, -2):
         with pytest.raises(ValueError, match="n must be >= 1"):
@@ -577,6 +591,11 @@ def block_factors(rng, kind, m, n):
     return A, B
 
 
+def refuse_fallback(*args):
+    """Stand-in for the per-user rankers, which evaluate must not call."""
+    raise AssertionError("fallback ranking called")
+
+
 @pytest.mark.parametrize("block_users", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["gamma", "integer", "nan", "inf"])
 def test_evaluate_blocks_equal_per_user_oracles_bit_for_bit(monkeypatch, block_users, kind):
@@ -585,6 +604,9 @@ def test_evaluate_blocks_equal_per_user_oracles_bit_for_bit(monkeypatch, block_u
     A, B = block_factors(rng, kind, split.train.m, split.train.n)
     model = FactorModel(A, B, A.shape[1])
     monkeypatch.setattr(evaluator, "_BLOCK_SCORES", block_users * split.train.n)
+    # ties, NaN and inf rank in the block or through top_n_unseen, never through these
+    monkeypatch.setattr(evaluator, "precision_at_k", refuse_fallback)
+    monkeypatch.setattr(evaluator, "auc_user", refuse_fallback)
     for cutoff in (1, 5, 20):
         for sample_users in (1000, 10):
             config = EvalConfig(cutoff=cutoff, sample_users=sample_users, seed=3)
@@ -604,11 +626,8 @@ def test_evaluate_ranks_untied_users_without_the_fallbacks(monkeypatch):
     model = FactorModel(A, B, 4)
     want = evaluate(model, split, EvalConfig(cutoff=5, sample_users=1000, seed=0))
 
-    def refuse(*args):
-        raise AssertionError("fallback ranking called")
-
-    monkeypatch.setattr(evaluator, "precision_at_k", refuse)
-    monkeypatch.setattr(evaluator, "auc_user", refuse)
+    monkeypatch.setattr(evaluator, "precision_at_k", refuse_fallback)
+    monkeypatch.setattr(evaluator, "auc_user", refuse_fallback)
     assert evaluate(model, split, EvalConfig(cutoff=5, sample_users=1000, seed=0)) == want
 
 
@@ -625,11 +644,8 @@ def test_evaluate_ranks_all_tied_users_without_the_fallbacks(monkeypatch, block_
     configs = [EvalConfig(cutoff=cutoff, sample_users=1000, seed=0) for cutoff in (1, 2, 5, 20)]
     wants = [protocol_oracle(model, split, config) for config in configs]
 
-    def refuse(*args):
-        raise AssertionError("fallback ranking called")
-
-    monkeypatch.setattr(evaluator, "precision_at_k", refuse)
-    monkeypatch.setattr(evaluator, "auc_user", refuse)
+    monkeypatch.setattr(evaluator, "precision_at_k", refuse_fallback)
+    monkeypatch.setattr(evaluator, "auc_user", refuse_fallback)
     for config, want in zip(configs, wants):
         got = dataclasses.astuple(evaluate(model, split, config))
         want = dataclasses.astuple(want)

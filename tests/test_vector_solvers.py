@@ -44,13 +44,16 @@ def reference_cg(x, view, reg, max_updates=5, stats=None):
 
     A plain per-row formulation of the solver, built from the public
     objective_vector and gradient_vector; constants as in vector_solvers.
+    The gradient is only taken at a point whose objective was just
+    evaluated, so only the objective counts clamps into ``stats``: each
+    point's clamps count once.
     """
 
     def objective(x):
         return objective_vector(replace(view, x=x), reg, clamp=True, stats=stats)
 
     def gradient(x):
-        g = view.s + gradient_vector(replace(view, x=x), stats=stats)
+        g = view.s + gradient_vector(replace(view, x=x))
         if reg.lam != 0.0:
             g = g + (2.0 * reg.lam * x if reg.kind == "l2" else reg.lam)
         return g
