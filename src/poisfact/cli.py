@@ -127,8 +127,8 @@ def load_model(path: str) -> tuple[FactorModel, ModelMeta]:
 
 
 def export_model_text(path: str, model: FactorModel) -> None:
-    """Plain-text factor dump for inspection; not meant for reloading."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Plain-text factor dump for inspection, replacing ``path`` only once complete; not for reloading."""
+    with open_replacing(path) as fh:
         fh.write(f"# m={model.m} n={model.n} k={model.k}\n")
         fh.write("# user factors A\n")
         np.savetxt(fh, model.A, fmt="%.17g")
@@ -274,7 +274,7 @@ def cmd_evaluate(args) -> int:
     )
     sys.stdout.write(report.to_text())
     if args.report_json:
-        with open(args.report_json, "w", encoding="utf-8") as fh:
+        with open_replacing(args.report_json) as fh:
             json.dump(report.to_record(), fh, indent=2)
             fh.write("\n")
     return 0

@@ -8,9 +8,9 @@ O(nnz*k*tau + (m+n)*k) regardless of how large m*n grows.
 
 Row updates within a half-iteration are independent: each reads the frozen
 other matrix, the shared sum vector, and its own row, and writes only its own
-row. Either solver therefore updates a whole matrix in one call; the first
-proximal-gradient user step of an iteration reuses the dots of the previous
-objective. Results are bit-identical run to run.
+row. Either solver therefore updates a whole matrix in one call; each user
+half after the first starts from the dots of the previous objective. Results
+are bit-identical run to run.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class TrainReport:
     iteration, the wall time of its user half, item half and objective; they
     sum to at most that iteration's ``iteration_seconds``. ``clamp_events``
     counts floored dots once per gather (CG gathers each point it scores
-    once) and again where a proximal-gradient step reuses the objective's.
+    once) and again where a user half of either solver reuses the objective's.
     """
 
     iterations: int
@@ -157,10 +157,10 @@ def train(
 
     Each iteration recomputes the item-matrix column sums, updates all user
     rows with the configured solver, recomputes the user-matrix column sums,
-    updates all item rows, and (for the proximal-gradient solver) halves the
-    step size. The training objective is recorded after
-    every iteration; ``progress`` is then invoked with (iteration, objective,
-    seconds).
+    updates all item rows, and halves the step size (which CG ignores). The
+    training objective is recorded after every iteration; ``progress`` is
+    then invoked with (iteration, objective, seconds), and the next user
+    half of either solver starts from the objective's floored dots.
 
     Raises
     ------
@@ -183,10 +183,9 @@ def train(
     iteration_seconds: list[float] = []
     user_seconds, item_seconds, objective_seconds = [], [], []
 
-    proxgrad = choice.method == PROXGRAD
     # Floored dots of (A, B) in row-major entry order: the objective fills them,
-    # the next proximal-gradient user step reads them and recounts their clamps.
-    dots = np.empty(data.nnz) if proxgrad else None
+    # the next user half reads them and recounts their clamps.
+    dots = np.empty(data.nnz)
     reused, reused_clamps = None, 0
 
     _log.info(
@@ -196,9 +195,9 @@ def train(
 
     def half(X, fixed, counts, rows, alpha, reused=None):
         s = fixed.sum(axis=0)
-        if proxgrad:
+        if choice.method == PROXGRAD:
             return prox_grad_matrix(counts, rows, X, fixed, s, alpha, reg, choice.tau, clamps, reused)
-        return conj_grad_matrix(counts, rows, X, fixed, s, reg, choice.max_updates, clamps)
+        return conj_grad_matrix(counts, rows, X, fixed, s, reg, choice.max_updates, clamps, reused)
 
     for t in range(config.iters):
         started = time.perf_counter()
@@ -229,9 +228,8 @@ def train(
         objective_started = time.perf_counter()
         objective = full_objective(data, model.A, model.B, reg, clamps, dots_out=dots)
         objective_seconds.append(time.perf_counter() - objective_started)
-        if proxgrad:
-            alpha *= 0.5
-            reused, reused_clamps = dots, clamps.clamped - before
+        alpha *= 0.5
+        reused, reused_clamps = dots, clamps.clamped - before
         elapsed = time.perf_counter() - started
         objective_trace.append(objective)
         iteration_seconds.append(elapsed)

@@ -140,41 +140,18 @@ def prox_grad_update(
     return x
 
 
-def _take_rows(counts: sp.csr_matrix, rows: np.ndarray, picked: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-    """``counts[picked]`` (rows ascending, distinct) without scipy's fancy indexing, and its entries' rows.
+def _row_objectives(
+    data: np.ndarray, owner: np.ndarray, Y: np.ndarray, s: np.ndarray, reg: RegularizationSpec, dots: np.ndarray
+) -> np.ndarray:
+    """Full objective of every row of Y, s.y + penalty - sum c*log(dots), from its entries' counts and dots.
 
-    ``rows`` holds counts' entry rows; picking every row returns counts and ``rows`` themselves.
+    ``owner`` holds the row of Y of each entry. On the nonnegative orthant the
+    l1 penalty is linear, so the full objective stays smooth there.
     """
-    if len(picked) == counts.shape[0]:
-        return counts, rows
-    owner, at = row_entries(counts.indptr, picked)
-    indptr = np.zeros(len(picked) + 1, dtype=counts.indptr.dtype)
-    np.cumsum(counts.indptr[picked + 1] - counts.indptr[picked], out=indptr[1:])
-    shape = (len(picked), counts.shape[1])
-    return sp.csr_matrix((counts.data[at], counts.indices[at], indptr), shape=shape), owner
-
-
-def _objective_and_gradient(
-    counts: sp.csr_matrix,
-    rows: np.ndarray,
-    Y: np.ndarray,
-    fixed: np.ndarray,
-    s: np.ndarray,
-    reg: RegularizationSpec,
-    stats: ClampStats | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full objective of every row of Y, s.y + penalty - sum c*log(dots), and its gradient.
-
-    Both come from one gather of the dots, clamped. On the nonnegative orthant
-    the l1 penalty is linear, so the full objective stays smooth there.
-    """
-    dots = entry_dots(Y, fixed, rows, counts.indices, stats)
     f = (Y * s).sum(axis=1)
-    g = s - _ratio_times(counts, dots, fixed)
     if reg.lam != 0.0:
         f = f + reg.lam * ((Y * Y).sum(axis=1) if reg.kind == "l2" else np.abs(Y).sum(axis=1))
-        g = g + (2.0 * reg.lam * Y if reg.kind == "l2" else reg.lam)
-    return f - np.bincount(rows, counts.data * np.log(dots), minlength=len(Y)), g
+    return f - np.bincount(owner, data * np.log(dots), minlength=len(Y))
 
 
 def conj_grad_matrix(
@@ -186,6 +163,7 @@ def conj_grad_matrix(
     reg: RegularizationSpec,
     max_updates: int = 5,
     stats: ClampStats | None = None,
+    dots: np.ndarray | None = None,
 ) -> np.ndarray:
     """Minimize every row's full objective by nonnegative Polak-Ribiere CG.
 
@@ -200,21 +178,30 @@ def conj_grad_matrix(
 
     All rows run in lockstep: step sizes, Polak-Ribiere coefficients and
     trial steps are per-row vectors, and stops, acceptances and resets are
-    row masks; each backtrack evaluates only the rows still searching, and an
-    accepted trial keeps the gradient gathered with its objective, so
-    ``stats`` counts each point's clamps once. Every reduction stays inside
-    its row, so a row gets the same bits as when updated alone
+    row masks. A per-entry buffer holds X's floored dots: each backtrack
+    gathers and scores only the entries of the rows still searching, an
+    accepted trial writes its dots there, and every row's gradient is formed
+    from it once per update, so ``stats`` counts each point's clamps once.
+    ``dots`` are X's floored dots if known, their clamps the caller's to
+    count; the solver reads a copy. Every reduction stays inside its row, in
+    stored order, so a row gets the same bits as when updated alone
     (conj_grad_update). ``rows`` is as for prox_grad_matrix.
     """
     X = np.array(X, dtype=np.float64, copy=True)
-    f, g = _objective_and_gradient(counts, rows, X, fixed, s, reg, stats)
+    dots = entry_dots(X, fixed, rows, counts.indices, stats) if dots is None else np.array(dots, dtype=np.float64)
+    f = _row_objectives(counts.data, rows, X, s, reg, dots)
     d = np.zeros_like(X)
     g_free_prev = np.zeros_like(X)
     active_prev = np.zeros(X.shape, dtype=bool)
     fresh = np.ones(len(X), dtype=bool)  # no step accepted yet, so no direction to continue
-    step = 1.0 / (1.0 + np.sqrt((g * g).sum(axis=1)))
+    step = None
     live = np.arange(len(X))
     for _ in range(max_updates):
+        g = s - _ratio_times(counts, dots, fixed)
+        if reg.lam != 0.0:
+            g += 2.0 * reg.lam * X if reg.kind == "l2" else reg.lam
+        if step is None:  # the first gradient sizes every row's first trial step
+            step = 1.0 / (1.0 + np.sqrt((g * g).sum(axis=1)))
         x, gl = X[live], g[live]
         g_proj = np.where(x > 0.0, gl, np.minimum(gl, 0.0))
         going = ~(np.abs(g_proj).max(axis=1) < PGRAD_TOL)  # a NaN gradient goes on
@@ -235,27 +222,30 @@ def conj_grad_matrix(
 
         t = step[live]
         cand = np.empty_like(x)
-        f_cand, g_cand = np.empty(len(live)), np.empty_like(x)
+        f_cand = np.empty(len(live))
         accepted = np.zeros(len(live), dtype=bool)
         search = np.arange(len(live))
         for _ in range(MAX_BACKTRACKS):
             xs = x[search]
             trial = np.maximum(0.0, xs + t[search, None] * dl[search])
-            sub = _take_rows(counts, rows, live[search])  # the searching rows' counts and entry rows
-            f_trial, g_trial = _objective_and_gradient(*sub, trial, fixed, s, reg, stats)
+            owner, at = row_entries(counts.indptr, live[search])  # the searching rows' entries
+            trial_dots = entry_dots(trial, fixed, owner, counts.indices[at], stats)
+            f_trial = _row_objectives(counts.data[at], owner, trial, s, reg, trial_dots)
             gain = (gl[search] * (trial - xs)).sum(axis=1)
             # fmin(0, gain) keeps acceptance monotone even if projection bends
             # the step away from a descent direction.
             ok = f_trial <= f[live[search]] + ARMIJO_C * np.fmin(0.0, gain)
             hit = search[ok]
-            cand[hit], f_cand[hit], g_cand[hit], accepted[hit] = trial[ok], f_trial[ok], g_trial[ok], True
+            cand[hit], f_cand[hit], accepted[hit] = trial[ok], f_trial[ok], True
+            kept = ok[owner]
+            dots[at[kept]] = trial_dots[kept]
             search = search[~ok]
             if not len(search):
                 break
             t[search] *= ARMIJO_SHRINK
 
         live = live[accepted]
-        X[live], f[live], g[live] = cand[accepted], f_cand[accepted], g_cand[accepted]
+        X[live], f[live] = cand[accepted], f_cand[accepted]
         d[live], g_free_prev[live], active_prev[live] = dl[accepted], g_free[accepted], active[accepted]
         fresh[live] = False
         step[live] = t[accepted] * 2.0

@@ -201,6 +201,28 @@ def test_train_export_text(workspace):
     assert len(text.strip().split("\n")) == 3 + model.m + model.n
 
 
+def test_train_export_text_failing_partway_keeps_the_previous_file(workspace, capsys, monkeypatch):
+    text_path = workspace / "factors.txt"
+    args = train_args(workspace / "out" / "train.csv", workspace / "model.bin", "--export-text", str(text_path))
+    assert main(args) == 0
+    before = text_path.read_bytes()
+    savetxt, calls = np.savetxt, []
+
+    def no_space_for_b(fh, *rest, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:  # A is written, B is not
+            raise OSError(errno.ENOSPC, "No space left on device")
+        savetxt(fh, *rest, **kwargs)
+
+    monkeypatch.setattr(np, "savetxt", no_space_for_b)
+    assert main(train_args(
+        workspace / "out" / "train.csv", workspace / "model.bin", "--export-text", str(text_path), "--seed", "12"
+    )) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert text_path.read_bytes() == before
+    assert [path.name for path in workspace.iterdir() if path.name.startswith(".")] == []  # no temporary file left
+
+
 def test_train_numeric_failure_exits_4_without_model(tmp_path, capsys):
     blowup = tmp_path / "blowup.csv"
     blowup.write_text("u0,i0,1e308\n")
@@ -282,6 +304,29 @@ def test_evaluate_writes_json_report(workspace, capsys):
     for key in ("p_at_k", "auc", "pearson_rho", "test_loglik"):
         assert f"{key} {record[key]:.6f}" in out
     assert record["users_evaluated"] + record["users_skipped"] >= record["users_evaluated"]
+
+
+def test_evaluate_report_json_failing_partway_keeps_the_previous_file(workspace, capsys, monkeypatch):
+    model_path = workspace / "model.bin"
+    json_path = workspace / "report.json"
+    assert main(train_args(workspace / "out" / "train.csv", model_path)) == 0
+    args = [
+        "evaluate", str(model_path),
+        str(workspace / "out" / "train.csv"), str(workspace / "out" / "test.csv"),
+        "--report-json", str(json_path),
+    ]
+    assert main(args) == 0
+    before = json_path.read_bytes()
+
+    def no_space_after_a_brace(record, fh, **kwargs):
+        fh.write("{")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", no_space_after_a_brace)
+    assert main(args + ["--cutoff", "3"]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert json_path.read_bytes() == before
+    assert [path.name for path in workspace.iterdir() if path.name.startswith(".")] == []  # no temporary file left
 
 
 def test_evaluate_drops_unknown_test_ids_with_note(workspace, capsys):

@@ -8,6 +8,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import poisfact.sparse_data as sparse_data
 from poisfact import (
@@ -253,6 +254,33 @@ def test_from_entries_validates():
         SparseInteractions.from_entries([0, 1, 1], [0, 0, 0], [1.0, 1e308, 1e308], 2, 1)
     empty = SparseInteractions.from_entries([], [], [], 3, 4)
     assert (empty.m, empty.n, empty.nnz) == (3, 4, 0)
+
+
+def test_row_entries_equals_scipy_row_indexing():
+    rng = np.random.default_rng(40)
+    dense = (rng.random((30, 20)) < 0.3) * rng.integers(1, 6, size=(30, 20)).astype(float)
+    dense[[3, 11, 17]] = 0.0  # rows without entries
+    dense[[5, 8], :4] = 2.0
+    narrow = sp.csr_matrix(dense)
+    wide = narrow.copy()
+    wide.indices, wide.indptr = narrow.indices.astype(np.int64), narrow.indptr.astype(np.int64)
+    assert narrow.indptr.dtype == np.int32 and wide.indptr.dtype == np.int64
+    r = narrow.shape[0]
+    picks = [[], [3], [5], [3, 11, 17], [0, 3, 4, 11, 12, 17, r - 1], list(range(1, r)), list(range(r))]
+    picks += [np.flatnonzero(rng.random(r) < 0.5) for _ in range(5)]
+    for counts in (narrow, wide):
+        every, none = sparse_data.row_entries(counts.indptr)
+        assert none is None and every.dtype == counts.indptr.dtype
+        assert np.array_equal(every, np.repeat(np.arange(r), np.diff(counts.indptr)))
+        for pick in picks:
+            pick = np.asarray(pick, dtype=np.int64)
+            (owner, at), want = sparse_data.row_entries(counts.indptr, pick), counts[pick]
+            degrees = np.diff(counts.indptr)[pick]
+            assert owner.dtype == counts.indptr.dtype
+            assert np.array_equal(owner, np.repeat(np.arange(len(pick)), degrees))
+            assert np.array_equal(np.bincount(owner, minlength=len(pick)), np.diff(want.indptr))
+            assert np.array_equal(counts.indices[at], want.indices)
+            assert np.array_equal(counts.data[at], want.data)
 
 
 # ---------------------------------------------------------------- id maps

@@ -9,6 +9,7 @@ proximal-gradient step against rows built from the per-vector gradient and
 prox.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
+import poisfact.vector_solvers as vector_solvers
 from poisfact import (
     ClampStats,
     ConfigError,
@@ -29,9 +31,9 @@ from poisfact import (
     prox_grad_update,
     prox_operator,
 )
-from poisfact.poisson_core import DOT_FLOOR
+from poisfact.poisson_core import DOT_FLOOR, entry_dots
 from poisfact.sparse_data import row_entries
-from poisfact.vector_solvers import _take_rows, conj_grad_matrix, prox_grad_matrix
+from poisfact.vector_solvers import _ratio_times, conj_grad_matrix, prox_grad_matrix
 
 
 def joint_objective(x, view, reg):
@@ -266,40 +268,60 @@ def test_prox_grad_matrix_matches_per_row_blas_oracle(tau, reg):
         assert np.array_equal(prox_grad_update(X[r], view, alpha, reg, tau), got[r])
 
 
-def test_prox_grad_matrix_reuses_given_dots():
+def prox_grad_twice(counts, rows, X, fixed, s, reg, stats=None, dots=None):
+    return prox_grad_matrix(counts, rows, X, fixed, s, 1e-3, reg, 2, stats, dots)
+
+
+def conj_grad_thrice(counts, rows, X, fixed, s, reg, stats=None, dots=None):
+    return conj_grad_matrix(counts, rows, X, fixed, s, reg, 3, stats, dots)
+
+
+@pytest.mark.parametrize("solve", [prox_grad_twice, conj_grad_thrice], ids=["prox_grad_matrix", "conj_grad_matrix"])
+def test_matrix_solver_reuses_given_dots(solve):
     rng = np.random.default_rng(38)
     counts, X, fixed, s = clamping_instance(rng)
     reg = RegularizationSpec("l2", 0.5)
-    rows = np.repeat(np.arange(X.shape[0]), np.diff(counts.indptr))
-    dots = np.maximum((X[rows] * fixed[counts.indices]).sum(axis=1), DOT_FLOOR)
-    stats = ClampStats()
-    reused = prox_grad_matrix(counts, rows, X, fixed, s, 1e-3, reg, 2, stats, dots=dots)
-    fresh = prox_grad_matrix(counts, rows, X, fixed, s, 1e-3, reg, 2)
+    rows = row_entries(counts.indptr)[0]
+    raw = (X[rows] * fixed[counts.indices]).sum(axis=1)
+    dots = np.maximum(raw, DOT_FLOOR)
+    given = dots.copy()
+    stats, fresh_stats = ClampStats(), ClampStats()
+    reused = solve(counts, rows, X, fixed, s, reg, stats, dots=given)
+    fresh = solve(counts, rows, X, fixed, s, reg, fresh_stats)
     assert np.array_equal(reused, fresh)
-    assert stats.clamped == 0  # the given dots' clamps are the caller's
+    assert np.array_equal(given, dots)  # the caller's array is left as it was
+    # the given dots' clamps are the caller's; the solver counts its own gathers'
+    start_clamps = int((raw < DOT_FLOOR).sum())
+    assert start_clamps >= 8  # rows 5 and 8 start at zero
+    assert stats.clamped == fresh_stats.clamped - start_clamps
 
 
-def test_take_rows_equals_scipy_row_indexing():
-    rng = np.random.default_rng(40)
-    narrow = clamping_instance(rng)[0]  # rows 3, 11 and 17 hold no entries
-    wide = narrow.copy()
-    wide.indices, wide.indptr = narrow.indices.astype(np.int64), narrow.indptr.astype(np.int64)
-    assert narrow.indptr.dtype == np.int32 and wide.indptr.dtype == np.int64
-    r = narrow.shape[0]
-    picks = [[], [3], [5], [3, 11, 17], [0, 3, 4, 11, 12, 17, r - 1], list(range(1, r)), list(range(r))]
-    picks += [np.flatnonzero(rng.random(r) < 0.5) for _ in range(5)]
-    for counts in (narrow, wide):
-        rows = np.repeat(np.arange(r), np.diff(counts.indptr))
-        for pick in picks:
-            pick = np.asarray(pick, dtype=np.int64)
-            (got, got_rows), want = _take_rows(counts, rows, pick), counts[pick]
-            assert got.shape == want.shape
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, attr), getattr(want, attr))
-            degrees = np.diff(counts.indptr)[pick]
-            assert np.array_equal(got_rows, np.repeat(np.arange(len(pick)), degrees))
-            if len(pick) == r:  # the all-rows shortcut hands back the given arrays
-                assert got is counts and got_rows is rows
+def test_conj_grad_matrix_forms_one_gradient_per_update(monkeypatch):
+    # given X's dots, CG gathers only the searching rows' entries, and forms
+    # the gradient once at the top of each update, never while backtracking
+    rng = np.random.default_rng(45)
+    counts, X, fixed, s = collapse_instance(rng)
+    rows = row_entries(counts.indptr)[0]
+    dots = np.maximum((X[rows] * fixed[counts.indices]).sum(axis=1), DOT_FLOOR)
+    events = []
+
+    def gather(P, Q, at_rows, cols, stats=None, out=None):
+        events.append("W" if at_rows is rows else "T")  # whole matrix, or a trial's rows
+        return entry_dots(P, Q, at_rows, cols, stats, out)
+
+    def ratio_times(counts, dots, fixed):
+        events.append("R")
+        return _ratio_times(counts, dots, fixed)
+
+    monkeypatch.setattr(vector_solvers, "entry_dots", gather)
+    monkeypatch.setattr(vector_solvers, "_ratio_times", ratio_times)
+    updates = 3
+    got = conj_grad_matrix(counts, rows, X, fixed, s, L2_FREE, updates, dots=dots)
+    trace = "".join(events)
+    assert re.fullmatch(r"(RT+)+", trace) and trace.count("R") == updates, trace
+    events.clear()
+    assert np.array_equal(conj_grad_matrix(counts, rows, X, fixed, s, L2_FREE, updates), got)
+    assert "".join(events) == "W" + trace  # without dots, one whole-matrix gather first
 
 
 def test_prox_grad_matrix_rejects_bad_step():
