@@ -186,10 +186,7 @@ def cmd_split(args) -> int:
     staging = tempfile.mkdtemp(prefix=".split-", dir=args.outdir)
     try:
         staged = [os.path.join(staging, name) for name in names]
-        users, items, counts = pair.train.entries()
-        write_triplet_file(
-            staged[0], zip(users.tolist(), items.tolist(), counts.tolist()), id_map, delimiter
-        )
+        write_triplet_file(staged[0], pair.train.entries(), id_map, delimiter)
         write_triplet_file(staged[1], pair.test, id_map, delimiter)
         id_map.save(staged[2], staged[3])
         for path, name in zip(staged, names):
@@ -198,7 +195,7 @@ def cmd_split(args) -> int:
         shutil.rmtree(staging, ignore_errors=True)
     print(
         f"split {data.nnz} entries of {data.m} users x {data.n} items into "
-        f"{pair.train.nnz} train and {len(pair.test)} test entries"
+        f"{pair.train.nnz} train and {len(pair.test[2])} test entries"
     )
     return 0
 
@@ -261,7 +258,7 @@ def cmd_evaluate(args) -> int:
     )
     users, items = user_of[raw_test.users], item_of[raw_test.items]
     known = (users >= 0) & (items >= 0)
-    test = list(zip(users[known].tolist(), items[known].tolist(), raw_test.counts[known].tolist()))
+    test = (users[known], items[known], raw_test.counts[known])
     dropped = len(raw_test) - int(known.sum())
     if dropped:
         print(

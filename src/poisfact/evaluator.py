@@ -23,7 +23,7 @@ import numpy as np
 from . import poisson_core
 from .errors import ConfigError, EvaluationError
 from .poisson_core import DOT_FLOOR
-from .sparse_data import SplitPair, row_entries
+from .sparse_data import SplitPair, _is_columns, row_entries
 from .trainer import FactorModel
 
 # evaluate scores its sampled users in blocks of about this many float64
@@ -188,15 +188,13 @@ def pearson_rho(predicted: np.ndarray, actual: np.ndarray) -> float:
     return float(np.corrcoef(predicted, actual)[0, 1])
 
 
-def test_loglik(model: FactorModel, test: list[tuple[int, int, float]]) -> float:
-    """Poisson log-likelihood of the test entries, constants omitted.
+def test_loglik(model: FactorModel, test) -> float:
+    """Poisson log-likelihood of the test entries (columns or (u, i, x) triplets), constants omitted.
 
     Returns sum over test entries of -a_u.b_i + x * log(a_u.b_i), with dot
     products floored at DOT_FLOOR inside the logarithm. Empty test sets give
     exactly zero; an entry outside the model raises EvaluationError.
     """
-    if not test:
-        return 0.0
     return _loglik(*_heldout(model, test)[2:])
 
 
@@ -241,11 +239,10 @@ def _rank_block(scores, seen, positive, n_pos, n_neg, k):
     return below.tolist(), ties.tolist(), hits.tolist(), has_nan.tolist()
 
 
-def _heldout(model: FactorModel, test: list[tuple[int, int, float]]):
-    """Users, items and counts of the held-out triples, and their predictions."""
-    users = np.fromiter((t[0] for t in test), dtype=np.int64, count=len(test))
-    items = np.fromiter((t[1] for t in test), dtype=np.int64, count=len(test))
-    counts = np.fromiter((t[2] for t in test), dtype=np.float64, count=len(test))
+def _heldout(model: FactorModel, test):
+    """Users, items and counts of the held-out columns or (u, i, x) triplets, and their predictions."""
+    columns = test if _is_columns(test) else tuple(zip(*test)) or ((), (), ())
+    users, items, counts = (np.asarray(c, dtype) for c, dtype in zip(columns, (np.int64, np.int64, np.float64)))
     outside = (users < 0) | (users >= model.m) | (items < 0) | (items >= model.n)
     if outside.any():  # take() would wrap a negative index
         at = int(outside.argmax())
@@ -253,8 +250,8 @@ def _heldout(model: FactorModel, test: list[tuple[int, int, float]]):
             f"test entry {at} ({users[at]}, {items[at]}) lies outside the {model.m} x {model.n} model"
         )
     # take() in entry_dots' chunks; einsum sums each row as over the whole arrays
-    dots = np.empty(len(test))
-    for lo in range(0, len(test), poisson_core._CHUNK):
+    dots = np.empty(len(counts))
+    for lo in range(0, len(counts), poisson_core._CHUNK):
         hi = lo + poisson_core._CHUNK
         a, b = model.A.take(users[lo:hi], axis=0), model.B.take(items[lo:hi], axis=0)
         np.einsum("ij,ij->i", a, b, out=dots[lo:hi])
@@ -272,14 +269,14 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
     A held-out entry whose user or item lies outside the model raises
     EvaluationError before any scoring.
     """
-    if not split.test:
-        raise EvaluationError("no test entries to evaluate")
     if model.m != split.train.m or model.n != split.train.n:
         raise EvaluationError(
             f"model is {model.m} x {model.n} but the split is "
             f"{split.train.m} x {split.train.n}"
         )
     users, items, counts, predictions = _heldout(model, split.test)
+    if not len(counts):
+        raise EvaluationError("no test entries to evaluate")
     try:
         rho = pearson_rho(predictions, counts)
     except EvaluationError:  # zero variance: undefined, but p@k and AUC are not

@@ -15,7 +15,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from typing import IO, Iterable, Iterator, NoReturn, TextIO
 
 import numpy as np
@@ -293,13 +293,22 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class SplitPair:
     """An entry-wise train/test split.
 
-    ``test`` holds (u, i, x) triplets for users that survive the filter rule:
-    every test user also appears in train and has at least the configured
-    number of test entries. Train and test never share a (u, i) pair.
+    ``test`` holds the held-out (users, items, counts) columns, int64, int64 and
+    float64 arrays in row-major order like :meth:`SparseInteractions.entries`,
+    for users that survive the filter rule: every test user also appears in
+    train and has at least the configured number of test entries. Train and
+    test never share a (u, i) pair; ``evaluate`` also takes a (u, i, x) list.
     """
 
     train: SparseInteractions
-    test: list[tuple[int, int, float]]
+    test: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _is_columns(entries) -> bool:
+    """Whether entries are (users, items, counts) columns: a tuple of three arrays."""
+    return isinstance(entries, tuple) and len(entries) == 3 and all(
+        isinstance(column, np.ndarray) for column in entries
+    )
 
 
 @contextmanager
@@ -534,9 +543,7 @@ def split_train_test(
     users, items, counts = data.entries()
     rng = np.random.default_rng(seed)
     to_test = rng.random(data.nnz) < test_fraction
-    if not to_test.any():
-        return SplitPair(train=data, test=[])
-    if to_test.all():
+    if data.nnz and to_test.all():
         raise DataError("split left no training entries; lower test_fraction")
     to_train = ~to_test
     train_per_user = np.bincount(users[to_train], minlength=data.m)
@@ -548,15 +555,8 @@ def split_train_test(
     csr = sp.csr_matrix(
         (data.csr.data[to_train], data.csr.indices[to_train], indptr), shape=(data.m, data.n)
     )
-    train = SparseInteractions(csr, csr.tocsc())
-    test = list(
-        zip(
-            users[keep].tolist(),
-            items[keep].tolist(),
-            counts[keep].tolist(),
-        )
-    )
-    return SplitPair(train=train, test=test)
+    test = (users[keep].astype(np.int64), items[keep].astype(np.int64), counts[keep])
+    return SplitPair(train=SparseInteractions(csr, csr.tocsc()), test=test)
 
 
 class _CountTexts(dict):
@@ -587,11 +587,12 @@ def _outside(u, i, x, id_map: IdMap) -> NoReturn:
 
 def write_triplet_file(
     path: str,
-    entries: Iterable[tuple[int, int, float]],
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray] | Iterable[tuple[int, int, float]],
     id_map: IdMap,
     delimiter: str = ",",
 ) -> None:
-    """Write internal (u, i, x) entries as external-token triplet text.
+    """Write internal entries, (users, items, counts) columns as a tuple of three arrays (like
+    :meth:`SparseInteractions.entries`) or else (u, i, x) rows, as external-token triplet text.
 
     Counts are formatted with %.17g, which round-trips float64 exactly, so a
     written file re-parses to identical values; within a chunk each distinct
@@ -602,6 +603,11 @@ def write_triplet_file(
     """
     users, items = id_map._user_tokens, id_map._item_tokens
     m, n = len(users), len(items)
+    if _is_columns(entries):  # rows made a chunk at a time, not all at once
+        columns, starts = entries, range(0, len(entries[2]), WRITE_CHUNK)
+        entries = chain.from_iterable(
+            zip(*(column[lo : lo + WRITE_CHUNK].tolist() for column in columns)) for lo in starts
+        )
     # Holds one chunk's float counts (equal values of other types may print
     # otherwise). A miss costs more than formatting, so once a chunk finds
     # more than an eighth of its counts new, the rest are formatted directly.

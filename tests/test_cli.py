@@ -83,6 +83,18 @@ def test_split_outputs_are_reproducible(tmp_path, capsys):
     assert (tmp_path / "a" / "test.csv").read_bytes() != (tmp_path / "c" / "test.csv").read_bytes()
 
 
+def test_split_prints_the_entry_counts_it_wrote(tmp_path, capsys):
+    # the held-out set is a tuple of three columns: its len is 3, not its entry count
+    corpus = write_corpus(tmp_path / "all.csv")
+    assert main(["split", str(corpus), str(tmp_path / "out"), "--seed", "7", "--test-fraction", "0.3",
+                 "--min-test-entries", "2"]) == 0
+    line = capsys.readouterr().out
+    n_train, n_test = (len((tmp_path / "out" / name).read_text().splitlines()) for name in ("train.csv", "test.csv"))
+    assert n_test > 3
+    assert line == (f"split {len(corpus.read_text().splitlines())} entries of 30 users x 20 items into "
+                    f"{n_train} train and {n_test} test entries\n")
+
+
 def test_split_train_test_partition_parses_back(workspace):
     full = token_rows(read_triplet_file(str(workspace / "all.csv")))
     train_part = token_rows(read_triplet_file(str(workspace / "out" / "train.csv")))

@@ -456,9 +456,10 @@ def test_evaluate_matches_per_user_oracles_on_trained_model():
     split = split_train_test(data, 0.3, 2, seed=3)
     model, _ = train(data=split.train, config=TrainConfig(k=3, alpha=1e-2, lam=5.0, iters=4, seed=1))
     report = evaluate(model, split, EvalConfig(cutoff=4, sample_users=1000, seed=0))
+    test = list(zip(*(column.tolist() for column in split.test)))
     p_vals, auc_vals = [], []
-    for u in sorted({u for u, _, _ in split.test}):
-        positives = np.array(sorted(i for uu, i, _ in split.test if uu == u))
+    for u in sorted({u for u, _, _ in test}):
+        positives = np.array(sorted(i for uu, i, _ in test if uu == u))
         train_items = split.train.row(u)[0]
         eligible = np.setdiff1d(np.arange(20), train_items)
         pos_set = set(positives.tolist())
@@ -492,12 +493,13 @@ def test_evaluate_matches_sorting_formula_on_tied_factors():
     A[::4] = 0.0
     B[::7] = 0.0
     model = FactorModel(A, B, 3)
+    test = list(zip(*(column.tolist() for column in split.test)))
     for cutoff in (1, 5, 70):
         report = evaluate(model, split, EvalConfig(cutoff=cutoff, sample_users=1000, seed=0))
         p_sum = auc_sum = 0.0
         evaluated = skipped = 0
-        for u in sorted({u for u, _, _ in split.test}):
-            positives = np.array(sorted({i for uu, i, _ in split.test if uu == u}))
+        for u in sorted({u for u, _, _ in test}):
+            positives = np.array(sorted({i for uu, i, _ in test if uu == u}))
             train_items = split.train.row(u)[0]
             eligible = np.setdiff1d(np.arange(n), train_items)
             is_pos = np.isin(eligible, positives)
@@ -509,8 +511,8 @@ def test_evaluate_matches_sorting_formula_on_tied_factors():
             p_sum += float(np.isin(top, positives).mean())
             auc_sum += auc_user(scores[eligible], is_pos)
             evaluated += 1
-        preds = np.array([model.A[u] @ model.B[i] for u, i, _ in split.test])
-        counts = np.array([x for _, _, x in split.test])
+        preds = np.array([model.A[u] @ model.B[i] for u, i, _ in test])
+        counts = np.array([x for _, _, x in test])
         assert report.p_at_k == p_sum / evaluated
         assert report.auc == auc_sum / evaluated
         assert report.pearson_rho == pearson_rho(preds, counts)
@@ -694,6 +696,43 @@ def test_evaluate_rejects_empty_test():
         evaluate(toy_model(), split)
 
 
+def test_evaluate_reads_columns_and_triplets_alike_past_two_chunks():
+    # the held-out columns are a 3-tuple: a gather bounded by len(test) would
+    # score only the first chunk of entries and leave the rest unset
+    rng = np.random.default_rng(75)
+    m, n = 300, 100
+    X = (rng.random((m, n)) < 0.6) * rng.integers(1, 6, size=(m, n))
+    users, items = np.nonzero(X)
+    data = SparseInteractions.from_entries(users, items, X[users, items].astype(float), m, n)
+    split = split_train_test(data, 0.3, 2, seed=6)
+    assert len(split.test[2]) > 2 * poisson_core._CHUNK
+    triplets = SplitPair(train=split.train, test=list(zip(*(column.tolist() for column in split.test))))
+    model = FactorModel(rng.gamma(0.5, 1.0, (m, 4)), rng.gamma(0.5, 1.0, (n, 4)), 4)
+    got = dataclasses.astuple(evaluate(model, split, EvalConfig(cutoff=5, sample_users=50, seed=1)))
+    want = dataclasses.astuple(evaluate(model, triplets, EvalConfig(cutoff=5, sample_users=50, seed=1)))
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    assert heldout_loglik(model, split.test).hex() == heldout_loglik(model, triplets.test).hex()
+    preds = np.einsum("ij,ij->i", model.A[split.test[0]], model.B[split.test[1]])
+    assert got[3] == pytest.approx(float(-preds.sum() + split.test[2] @ np.log(preds)), rel=1e-12)
+
+
+def test_evaluate_rejects_an_empty_split():
+    rng = np.random.default_rng(76)
+    X = (rng.random((20, 15)) < 0.5) * rng.integers(1, 4, size=(20, 15))
+    users, items = np.nonzero(X)
+    data = SparseInteractions.from_entries(users, items, X[users, items].astype(float), 20, 15)
+    model = FactorModel(np.ones((20, 2)), np.ones((15, 2)), 2)
+    # nothing drawn, and draws that every user's min-test-entries rule drops
+    for fraction, min_test_entries in ((1e-12, 1), (0.3, 100)):
+        split = split_train_test(data, fraction, min_test_entries, seed=0)
+        assert [(len(column), column.dtype) for column in split.test] == [
+            (0, np.int64), (0, np.int64), (0, np.float64)
+        ]
+        with pytest.raises(EvaluationError, match="no test entries"):
+            evaluate(model, split)
+        assert heldout_loglik(model, split.test) == 0.0
+
+
 def test_evaluate_all_users_skipped():
     # the lone test user holds every eligible item as a positive; predictions
     # and counts vary so the pooled metrics are well defined
@@ -712,7 +751,7 @@ def test_evaluate_binary_counts_reports_nan_correlation():
     users, items = np.nonzero(X)
     data = SparseInteractions.from_entries(users, items, np.ones(len(users)), 40, 25)
     split = split_train_test(data, 0.3, 2, seed=4)
-    assert {x for _, _, x in split.test} == {1.0}
+    assert set(split.test[2].tolist()) == {1.0}
     model, _ = train(data=split.train, config=TrainConfig(k=3, alpha=1e-2, lam=5.0, iters=3, seed=1))
     report = evaluate(model, split, EvalConfig(cutoff=3, sample_users=1000, seed=0))
     assert math.isnan(report.pearson_rho)

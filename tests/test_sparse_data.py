@@ -348,9 +348,9 @@ def test_split_deterministic_given_seed():
     first = split_train_test(data, 0.25, 2, seed=99)
     second = split_train_test(data, 0.25, 2, seed=99)
     assert first.train == second.train
-    assert first.test == second.test
+    assert all(np.array_equal(a, b) for a, b in zip(first.test, second.test))
     other = split_train_test(data, 0.25, 2, seed=100)
-    assert other.test != first.test
+    assert not all(np.array_equal(a, b) for a, b in zip(other.test, first.test))
 
 
 def test_split_invariants_hold():
@@ -358,7 +358,8 @@ def test_split_invariants_hold():
     data, _ = build_interactions(random_triplets(rng, 900, n_users=35, n_items=25))
     pair = split_train_test(data, 0.3, 3, seed=1)
     train_entries = materialize(pair.train)
-    test_pairs = {(u, i) for u, i, _ in pair.test}
+    test_rows = list(zip(*(column.tolist() for column in pair.test)))
+    test_pairs = {(u, i) for u, i, _ in test_rows}
     # disjoint as (u, i) sets
     assert not test_pairs & set(train_entries)
     # together they reproduce a subset of the original data (dropped test
@@ -367,7 +368,7 @@ def test_split_invariants_hold():
     for (u, i), x in train_entries.items():
         assert original[(u, i)] == x
     per_user = {}
-    for u, i, x in pair.test:
+    for u, i, x in test_rows:
         assert original[(u, i)] == x
         per_user[u] = per_user.get(u, 0) + 1
     train_users = {u for u, _ in train_entries}
@@ -392,7 +393,7 @@ def test_split_drops_users_below_min_test_entries():
             continue
         hit = True
         pair = split_train_test(data, 0.2, 3, seed=seed)
-        test_users = {u for u, _, _ in pair.test}
+        test_users = set(pair.test[0].tolist())
         assert not test_users & set(victims.tolist())
         break
     assert hit, "no seed produced an under-threshold user; loosen the probe"
@@ -402,8 +403,17 @@ def test_split_tiny_fraction_degenerates_to_train_only():
     rng = np.random.default_rng(12)
     data, _ = build_interactions(random_triplets(rng, 50))
     pair = split_train_test(data, 1e-9, 3, seed=0)
-    assert pair.test == []
+    assert [len(column) for column in pair.test] == [0, 0, 0]
     assert pair.train == data
+
+
+def test_split_holds_the_test_set_as_row_major_columns():
+    rng = np.random.default_rng(14)
+    data, _ = build_interactions(random_triplets(rng, 600, n_users=30, n_items=25))
+    users, items, counts = split_train_test(data, 0.3, 1, seed=3).test
+    assert (users.dtype, items.dtype, counts.dtype) == (np.int64, np.int64, np.float64)
+    assert len(users) == len(items) == len(counts) > 0
+    assert np.array_equal(np.lexsort((items, users)), np.arange(len(users)))  # by user, then item
 
 
 def test_split_validates_config():
@@ -550,6 +560,45 @@ def test_triplet_writer_failing_in_second_chunk_keeps_old_file(tmp_path, monkeyp
         write_triplet_file(str(path), (e for e in entries), id_map)
     assert path.read_text() == "old content\n"
     assert os.listdir(tmp_path) == ["train.csv"]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, sparse_data.WRITE_CHUNK])
+def test_triplet_writer_columns_bytes_equal_rows(tmp_path, monkeypatch, chunk):
+    # columns as a split holds them (int64) and as entries() gives them (the CSR's index dtype)
+    monkeypatch.setattr(sparse_data, "WRITE_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    floats = [x for x in WRITER_COUNTS if type(x) in (float, np.float64)] + [2 / 3, 7.0, 1e-300]
+    counts = np.array([1 / 3] + [floats[j] for j in rng.integers(0, len(floats), 40)])
+    users = rng.integers(0, len(WRITER_USERS), len(counts))
+    items = rng.integers(0, len(WRITER_ITEMS), len(counts))
+    id_map = IdMap(WRITER_USERS, WRITER_ITEMS)
+    rows = list(zip(users.tolist(), items.tolist(), counts.tolist()))
+    want = tmp_path / "want.txt"
+    per_line_write(str(want), rows, WRITER_USERS, WRITER_ITEMS)
+    assert ",0.33333333333333331\n" in want.read_text(encoding="utf-8")  # 1/3 needs all 17 digits
+    sources = {
+        "list": rows, "generator": iter(rows), "int64": (users, items, counts),
+        "int32": (users.astype(np.int32), items.astype(np.int32), counts),
+    }
+    for name, entries in sources.items():
+        got = tmp_path / f"{name}.txt"
+        write_triplet_file(str(got), entries, id_map)
+        assert got.read_bytes() == want.read_bytes(), name
+    empty = tmp_path / "empty.txt"
+    write_triplet_file(str(empty), (users[:0], items[:0], counts[:0]), id_map)
+    assert empty.read_bytes() == b""
+
+
+def test_triplet_writer_columns_outside_id_map_keep_old_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(sparse_data, "WRITE_CHUNK", 2)
+    id_map = IdMap(["u1", "u2"], ["i1", "i2", "i3"])
+    path = tmp_path / "test.csv"
+    path.write_text("old content\n")
+    columns = (np.array([0, 1, 1, 0, 0]), np.array([0, 2, 1, 3, 1]), np.array([1.0, 2.0, 3.0, 2.0, 4.0]))
+    with pytest.raises(DataError, match=r"entry \(0, 3, 2.0\) has item index 3, outside the id map's 3 items"):
+        write_triplet_file(str(path), columns, id_map)
+    assert path.read_text() == "old content\n"
+    assert os.listdir(tmp_path) == ["test.csv"]
 
 
 def test_idmap_tokens_reject_index_outside_table():
