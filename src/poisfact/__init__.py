@@ -66,7 +66,6 @@ from .trainer import (
     TrainReport,
     init_factors,
     train,
-    training_objective,
 )
 from .vector_solvers import (
     SolverChoice,
@@ -123,7 +122,6 @@ __all__ = [
     "TrainReport",
     "init_factors",
     "train",
-    "training_objective",
     "SolverChoice",
     "conj_grad_update",
     "prox_grad_update",

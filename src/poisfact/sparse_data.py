@@ -375,41 +375,33 @@ def _parse_line(line: str, line_no: int, delimiter: str) -> tuple[str, str, floa
     return user, item, count
 
 
-def _float_or_nan(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return float("nan")
-
-
 def _split_regular(
     lines: list[str], width: int, delimiter: str
-) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
-    """Tokens and counts of lines holding ``width`` fields each, and a mask of those valid.
+) -> tuple[list[str], list[str], np.ndarray] | None:
+    """Tokens and counts of lines holding ``width`` fields each, or None unless every line is valid.
 
     The lines' text is joined, its newlines become delimiters, and one
     ``split`` yields every field. A line is valid when both tokens are
     nonempty after stripping and its count is a positive finite number
     (``float`` ignores the whitespace ``strip`` removes). If the fields do
-    not line up (a line ended by something other than ``"\\n"``) or the text
-    is not UTF-8, no line is valid.
+    not line up (a line before the last not ended by ``"\\n"``) or the text
+    is not UTF-8, the lines are not screened.
     """
     n = len(lines)
     text = "".join(lines)
     fields = text.replace("\n", delimiter).split(delimiter)
-    if len(fields) - n * width not in (0, 1) or not (text.isascii() or _is_utf8(text)):
-        return [""] * n, [""] * n, np.zeros(n), np.zeros(n, dtype=bool)
+    if len(fields) != n * width + lines[-1].endswith("\n") or not (text.isascii() or _is_utf8(text)):
+        return None
     end = n * width
     users = list(map(str.strip, fields[0:end:width]))
     items = list(map(str.strip, fields[1:end:width]))
     try:
         counts = np.fromiter(map(float, fields[2:end:width]), np.float64, n)
     except ValueError:
-        counts = np.fromiter(map(_float_or_nan, fields[2:end:width]), np.float64, n)
-    valid = np.isfinite(counts) & (counts > 0)
-    if not (all(users) and all(items)):
-        valid &= np.fromiter(map(bool, users), bool, n) & np.fromiter(map(bool, items), bool, n)
-    return users, items, counts, valid
+        return None
+    if all(users) and all(items) and (np.isfinite(counts) & (counts > 0)).all():
+        return users, items, counts
+    return None
 
 
 def _parse_chunk(
@@ -417,33 +409,23 @@ def _parse_chunk(
 ) -> tuple[list[str], list[str], np.ndarray]:
     """User tokens, item tokens and counts of one chunk's kept lines, in line order.
 
-    Lines with the chunk's median number of delimiters (at least two) are
-    screened all at once by :func:`_split_regular`. Every line that fails the
-    screen (a blank line, a short or long line, an empty token, a bad
-    count) goes through :func:`_parse_line`, in line order, so its skips and
-    its ParseError are exactly those of the per-line rule.
+    When every line is blank or holds the chunk's largest number of
+    delimiters (at least two), the lines that are not blank are screened all
+    at once by :func:`_split_regular`. Any other chunk, and any chunk the
+    screen rejects (an empty token, a bad count), goes through
+    :func:`_parse_line` line by line, so its skips and its ParseError are
+    exactly those of the per-line rule.
     """
     n_delims = np.fromiter(map(str.count, lines, repeat(delimiter)), np.int64, len(lines))
-    width = max(int(np.median(n_delims)), 2) + 1
-    rows = np.flatnonzero(n_delims == width - 1)
-    regular = lines if len(rows) == len(lines) else [lines[r] for r in rows.tolist()]
-    users, items, counts, valid = _split_regular(regular, width, delimiter)
-    if len(rows) == len(lines) and valid.all():
-        return users, items, counts
-    kept = rows[valid].tolist()
-    users, items = list(compress(users, valid)), list(compress(items, valid))
-    counts = counts[valid].tolist()
-    screened = np.zeros(len(lines), dtype=bool)
-    screened[kept] = True
-    for r in np.flatnonzero(~screened).tolist():
-        parsed = _parse_line(lines[r], first_line_no + r, delimiter)
-        if parsed is not None:
-            kept.append(r)
-            users.append(parsed[0])
-            items.append(parsed[1])
-            counts.append(parsed[2])
-    order = np.argsort(kept).tolist()
-    return [users[j] for j in order], [items[j] for j in order], np.array(counts)[order]
+    width = int(n_delims.max()) + 1
+    regular = n_delims == width - 1
+    if width >= 3 and not any(lines[r].strip() for r in np.flatnonzero(~regular).tolist()):
+        screened = _split_regular(lines if regular.all() else list(compress(lines, regular)), width, delimiter)
+        if screened is not None:
+            return screened
+    kept = [row for r, line in enumerate(lines) if (row := _parse_line(line, first_line_no + r, delimiter))]
+    users, items, counts = zip(*kept) if kept else ((), (), ())
+    return list(users), list(items), np.array(counts, dtype=np.float64)
 
 
 def _codes(tokens: list[str], index: dict[str, int]) -> np.ndarray:
@@ -463,9 +445,12 @@ def parse_triplets(source: TextIO, delimiter: str = ",", has_header: bool = Fals
 
     The stream is read with ``readlines(CHUNK_BYTES)``, one chunk of lines
     at a time, and each chunk becomes code and count arrays, so memory per
-    input line is a few array entries rather than a Python object. Lines must
-    end in ``"\\n"``, as they do from a file opened with the default newline
-    handling or from ``io.StringIO``.
+    input line is a few array entries rather than a Python object. A chunk
+    whose lines are all blank or hold the same number of fields is split in
+    one pass; a chunk that mixes field counts is read line by line, about 2x
+    slower, with the same result. Lines should end in ``"\\n"``, as they do
+    from a file opened with the default newline handling or from
+    ``io.StringIO``; a chunk with other line ends is read line by line.
 
     Raises
     ------

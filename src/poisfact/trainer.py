@@ -129,13 +129,6 @@ def init_factors(m: int, n: int, k: int, seed: int) -> FactorModel:
     return FactorModel(A=A, B=B, k=k)
 
 
-def training_objective(
-    data: SparseInteractions, model: FactorModel, reg: RegularizationSpec
-) -> float:
-    """Full training objective of a model; see poisson_core.full_objective."""
-    return full_objective(data, model.A, model.B, reg)
-
-
 _COLLAPSE_HINT = (
     "the regularization (lambda) is too strong, or the step diverged and "
     "needs a smaller step size (alpha)"

@@ -722,12 +722,63 @@ def test_each_error_kind_in_a_later_chunk(bad, tmp_path, monkeypatch):
 
 
 def test_parse_mixed_field_counts_keep_line_order():
-    # three-, four- and five-field lines mixed: the usual width is screened at
-    # once and the others go through the per-line rule, all in line order
+    # three-, four- and five-field lines and a blank one mixed in one chunk:
+    # the whole chunk goes through the per-line rule, in line order
     text = "a,x,1\nb,y,2,t\nc,z,3,t,t\nb,x,4,t\nd,w,5\n\na,w,6,t\n"
     got = parse_triplets(io.StringIO(text))
     assert rows_of(got) == reference_parse(io.StringIO(text))
     assert got.user_tokens == ("a", "b", "c", "d") and got.item_tokens == ("x", "y", "z", "w")
+
+
+def test_chunks_of_one_field_count_skip_the_per_line_rule(tmp_path, monkeypatch):
+    # regular chunks, a blank line in every chunk, a fourth field on every
+    # line: the screen reads each chunk whole and never calls the per-line rule
+    def per_line(*args):
+        raise AssertionError("the per-line rule was called")
+
+    monkeypatch.setattr(sparse_data, "_parse_line", per_line)
+    monkeypatch.setattr(sparse_data, "CHUNK_BYTES", 200)
+    rows = [f"u{j % 17},i{j % 13},{1 + j % 4}" for j in range(300)]
+    variants = {
+        "regular": rows,
+        "blank": [row if j % 7 else ["", "  ", "\t"][j % 3] for j, row in enumerate(rows)],
+        "four_fields": [f"{row},x" for row in rows],
+    }
+    for name, lines in variants.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with open(path) as fh:
+            expected = reference_parse(fh)
+        assert rows_of(read_triplet_file(str(path))) == expected
+
+
+def test_only_the_chunk_that_mixes_field_counts_is_read_line_by_line(monkeypatch):
+    per_line, parse_chunk = sparse_data._parse_line, sparse_data._parse_chunk
+    called, chunks = [], []
+    monkeypatch.setattr(
+        sparse_data, "_parse_line", lambda line, line_no, d: called.append(line_no) or per_line(line, line_no, d)
+    )
+    monkeypatch.setattr(
+        sparse_data, "_parse_chunk", lambda lines, *rest: chunks.append(len(lines)) or parse_chunk(lines, *rest)
+    )
+    # lines of ten characters with the newline and 90-character chunks: three
+    # chunks of ten lines, and only the middle one has a line with a fourth field
+    monkeypatch.setattr(sparse_data, "CHUNK_BYTES", 90)
+    lines = [f"u{j:02d},i{j % 7:02d},{1 + j % 3}" for j in range(30)]
+    lines[14] = "u4,i0,1,x"
+    text = "\n".join(lines) + "\n"
+    got = parse_triplets(io.StringIO(text))
+    assert chunks == [10, 10, 10]
+    assert called == list(range(11, 21))
+    assert rows_of(got) == reference_parse(io.StringIO(text))
+
+
+def test_lines_ended_by_a_lone_carriage_return_follow_the_per_line_rule():
+    # a stream that keeps "\r" line ends: the screen's fields would not line up
+    text = "a,b,1,z\rc,d,2,3\ne,f,4,5\n"
+    got = parse_triplets(io.StringIO(text, newline=""))
+    expected = reference_parse(io.StringIO(text, newline=""))
+    assert rows_of(got) == expected == [("a", "b", 1.0), ("c", "d", 2.0), ("e", "f", 4.0)]
 
 
 def test_non_utf8_bytes_name_their_line(tmp_path, monkeypatch):

@@ -31,7 +31,6 @@ from poisfact import (
     prox_grad_update,
     split_train_test,
     train,
-    training_objective,
 )
 from poisfact.sparse_data import row_entries
 
@@ -297,27 +296,20 @@ def test_train_cg_objective_never_increases():
     assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
 
-def test_training_objective_matches_full_objective():
-    rng = np.random.default_rng(58)
-    data = random_data(rng)
-    config = TrainConfig(k=3, alpha=1e-2, lam=1.5, iters=2, seed=8)
-    model, report = train(data, config)
-    direct = full_objective(data, model.A, model.B, config.regularization)
-    assert training_objective(data, model, config.regularization) == direct
-    assert report.final_objective == pytest.approx(direct, rel=1e-12)
-
-
 def test_train_progress_hook_sees_every_iteration():
     rng = np.random.default_rng(59)
     data = random_data(rng)
     seen = []
     config = TrainConfig(k=2, alpha=1e-2, lam=1.0, iters=4, seed=1)
-    _, report = train(data, config, progress=lambda t, obj, sec: seen.append((t, obj, sec)))
+    model, report = train(data, config, progress=lambda t, obj, sec: seen.append((t, obj, sec)))
     assert [t for t, _, _ in seen] == [0, 1, 2, 3]
     assert [obj for _, obj, _ in seen] == report.objective_trace
     assert all(sec >= 0 for _, _, sec in seen)
     assert len(report.iteration_seconds) == 4
     assert report.iterations == 4
+    # the last objective reported is that of the returned model
+    direct = full_objective(data, model.A, model.B, config.regularization)
+    assert report.final_objective == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("solver", [SolverChoice(), SolverChoice(method="cg", max_updates=3)])
