@@ -272,7 +272,7 @@ def cmd_evaluate(args) -> int:
     sys.stdout.write(report.to_text())
     if args.report_json:
         with open_replacing(args.report_json) as fh:
-            json.dump(report.to_record(), fh, indent=2)
+            json.dump(report.to_record(), fh, indent=2, allow_nan=False)
             fh.write("\n")
     return 0
 

@@ -3,20 +3,23 @@
 Per-user metrics (precision at a cutoff, AUC) rank only the items absent from
 that user's training history, with the user's test items as the positive
 class; they are averaged over a seeded random sample of users. ``evaluate``
-takes the sampled users in blocks and sorts each user's eligible negatives
-once: binary searches of the positives in them give both the AUC midranks
-and each positive's rank for precision. A user with a positive tied to a
-negative (such as one whose scores are all equal) or with a NaN among its
-eligible scores takes its top k from :func:`top_n_unseen`, the ranking
-recommend uses, and a NaN makes its AUC NaN. Every result keeps the bits of
-:func:`precision_at_k` and :func:`auc_user`. The global metrics (Pearson
-correlation, test Poisson log-likelihood) pool the whole test set.
+scores the sampled users a block at a time with one product ``A[block] @ B.T``:
+a user's scores are its row of it, which can differ from :func:`score_user`
+(``B @ A[u]``, recommend's scores) in the last bits, so a near-tie can rank
+differently from recommend. It sorts each user's eligible negatives once:
+binary searches of the positives in them give both the AUC midranks and each
+positive's rank for precision. A user with a positive tied to a negative
+(such as one whose scores are all equal) or with a NaN among its eligible
+scores takes its top k from :func:`top_n_unseen`, the ranking recommend
+uses, and a NaN makes its AUC NaN. On the same scores every result keeps the
+bits of :func:`precision_at_k` and :func:`auc_user`. The global metrics
+(Pearson correlation, test Poisson log-likelihood) pool the whole test set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,8 +56,8 @@ class EvalReport:
     """Evaluation outcome; user counts satisfy evaluated + skipped = sampled.
 
     ``pearson_rho`` is NaN when the predictions or the held-out counts do not
-    vary (binary data has every count 1); the text form prints ``nan`` and
-    the record holds None.
+    vary (binary data has every count 1). The text form prints a NaN metric
+    as ``nan``; the record holds None for any non-finite one (strict JSON).
     """
 
     p_at_k: float
@@ -76,14 +79,9 @@ class EvalReport:
         )
 
     def to_record(self) -> dict:
-        """One flat record with fixed field names, for structured output."""
+        """One flat record with fixed field names, for structured output; a non-finite metric is None."""
         return {
-            "p_at_k": self.p_at_k,
-            "auc": self.auc,
-            "pearson_rho": None if math.isnan(self.pearson_rho) else self.pearson_rho,
-            "test_loglik": self.test_loglik,
-            "users_evaluated": self.users_evaluated,
-            "users_skipped": self.users_skipped,
+            key: None if isinstance(v, float) and not math.isfinite(v) else v for key, v in asdict(self).items()
         }
 
 
@@ -264,8 +262,10 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
     Per-user precision and AUC are averaged over a seeded sample of test
     users (all of them when the sample size covers the population, each
     exactly once); users without an eligible positive or negative item are
-    skipped and counted. Correlation and log-likelihood always use the whole
-    test set; the correlation is NaN when predictions or counts do not vary.
+    skipped and counted. A sampled user's scores are its row of its block's
+    matrix product, which can differ from :func:`score_user` in the last
+    bits. Correlation and log-likelihood always use the whole test set; the
+    correlation is NaN when predictions or counts do not vary.
     A held-out entry whose user or item lies outside the model raises
     EvaluationError before any scoring.
     """
@@ -320,9 +320,7 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
         if not len(rows):
             continue
         seen, positive, n_pos, n_neg = seen[rows], positive[rows], n_pos[rows], n_neg[rows]
-        scores = block[: len(rows)]
-        for j, u in enumerate(blk[rows].tolist()):
-            scores[j] = score_user(model, u)
+        scores = np.matmul(model.A[blk[rows]], model.B.T, out=block[: len(rows)])
         ranked = zip(n_pos.tolist(), n_neg.tolist(), *_rank_block(scores, seen, positive, n_pos, n_neg, k))
         for n_p, n_n, below, ties, hits, has_nan in ranked:
             p_sum += hits / min(k, n_p + n_n)

@@ -318,6 +318,29 @@ def test_evaluate_writes_json_report(workspace, capsys):
     assert record["users_evaluated"] + record["users_skipped"] >= record["users_evaluated"]
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_evaluate_json_report_of_a_nan_model_is_strict_json(workspace, capsys):
+    model_path = workspace / "model.bin"
+    json_path = workspace / "report.json"
+    assert main(train_args(workspace / "out" / "train.csv", model_path)) == 0
+    model, meta = load_model(str(model_path))
+    model.A[2] = np.nan
+    save_model(str(model_path), model, meta)
+    assert main([
+        "evaluate", str(model_path),
+        str(workspace / "out" / "train.csv"), str(workspace / "out" / "test.csv"),
+        "--report-json", str(json_path),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "auc nan\n" in out and "test_loglik nan\n" in out
+    record = json.loads(json_path.read_text(), parse_constant=refuse_constant)
+    assert record["auc"] is None and record["test_loglik"] is None
+    assert record["users_evaluated"] > 0
+
+
 def test_evaluate_report_json_failing_partway_keeps_the_previous_file(workspace, capsys, monkeypatch):
     model_path = workspace / "model.bin"
     json_path = workspace / "report.json"

@@ -594,11 +594,11 @@ def block_factors(rng, kind, m, n):
 
 
 def refuse_fallback(*args):
-    """Stand-in for the per-user rankers, which evaluate must not call."""
-    raise AssertionError("fallback ranking called")
+    """Stand-in for the per-user rankers and scorer, which evaluate must not call."""
+    raise AssertionError("per-user ranking or scoring called")
 
 
-@pytest.mark.parametrize("block_users", [1, 2, 3])
+@pytest.mark.parametrize("block_users", [1, 2, 3, 23])
 @pytest.mark.parametrize("kind", ["gamma", "integer", "nan", "inf"])
 def test_evaluate_blocks_equal_per_user_oracles_bit_for_bit(monkeypatch, block_users, kind):
     rng = np.random.default_rng(72)
@@ -606,9 +606,12 @@ def test_evaluate_blocks_equal_per_user_oracles_bit_for_bit(monkeypatch, block_u
     A, B = block_factors(rng, kind, split.train.m, split.train.n)
     model = FactorModel(A, B, A.shape[1])
     monkeypatch.setattr(evaluator, "_BLOCK_SCORES", block_users * split.train.n)
-    # ties, NaN and inf rank in the block or through top_n_unseen, never through these
+    # ties, NaN and inf rank in the block or through top_n_unseen, never through
+    # these, and a block is scored by one matrix product, not by score_user's
+    # gemv; the oracle scores each user with score_user
     monkeypatch.setattr(evaluator, "precision_at_k", refuse_fallback)
     monkeypatch.setattr(evaluator, "auc_user", refuse_fallback)
+    monkeypatch.setattr(evaluator, "score_user", refuse_fallback)
     for cutoff in (1, 5, 20):
         for sample_users in (1000, 10):
             config = EvalConfig(cutoff=cutoff, sample_users=sample_users, seed=3)
@@ -773,6 +776,12 @@ def test_report_text_and_record():
     assert lines[4] == "users_evaluated 2"
     record = report.to_record()
     assert record["auc"] == 0.25 and record["users_skipped"] == 1
+    # a non-finite metric is None, so the record dumps as strict JSON
+    record = EvalReport(0.5, math.nan, math.nan, -math.inf, 2, 1).to_record()
+    assert record == {
+        "p_at_k": 0.5, "auc": None, "pearson_rho": None, "test_loglik": None,
+        "users_evaluated": 2, "users_skipped": 1,
+    }
 
 
 def test_eval_config_validation():
