@@ -44,7 +44,6 @@ from .poisson_core import (
     full_objective,
     gradient_vector,
     objective_vector,
-    poisson_loss_entry,
     prox_l1,
     prox_l2,
     prox_operator,
@@ -104,7 +103,6 @@ __all__ = [
     "full_objective",
     "gradient_vector",
     "objective_vector",
-    "poisson_loss_entry",
     "prox_l1",
     "prox_l2",
     "prox_operator",

@@ -136,6 +136,14 @@ def export_model_text(path: str, model: FactorModel) -> None:
         np.savetxt(fh, model.B, fmt="%.17g")
 
 
+def _check_model_matches(model: FactorModel, data: SparseInteractions) -> None:
+    if model.m != data.m or model.n != data.n:
+        raise DataMismatchError(
+            f"model is {model.m} users x {model.n} items but the training data has "
+            f"{data.m} users x {data.n} items"
+        )
+
+
 def recommend_for_user(
     model: FactorModel,
     data: SparseInteractions,
@@ -147,10 +155,17 @@ def recommend_for_user(
 
     Items from the user's training history never appear. Ties are broken by
     ascending item index; asking for more items than are eligible returns
-    them all. A ``top_n`` below 1 raises ConfigError.
+    them all. A ``top_n`` below 1 raises ConfigError; a model, training data
+    and id map of different dimensions raise DataMismatchError.
     """
     if top_n < 1:
         raise ConfigError(f"top-n must be >= 1, got {top_n}")
+    _check_model_matches(model, data)
+    if (id_map.n_users, id_map.n_items) != (data.m, data.n):
+        raise DataMismatchError(
+            f"id map has {id_map.n_users} users x {id_map.n_items} items but the training data has "
+            f"{data.m} users x {data.n} items"
+        )
     u = id_map.user_index(user_token)
     scores = score_user(model, u)
     top = top_n_unseen(scores, data.row(u)[0], top_n)
@@ -164,14 +179,6 @@ def _load_train_data(args) -> tuple[SparseInteractions, IdMap]:
     delimiter = _DELIMITERS[args.format]
     triplets = read_triplet_file(args.train, delimiter, args.header)
     return build_interactions(triplets)
-
-
-def _check_model_matches(model: FactorModel, data: SparseInteractions) -> None:
-    if model.m != data.m or model.n != data.n:
-        raise DataMismatchError(
-            f"model is {model.m} users x {model.n} items but the training data has "
-            f"{data.m} users x {data.n} items"
-        )
 
 
 def cmd_split(args) -> int:
@@ -280,7 +287,6 @@ def cmd_evaluate(args) -> int:
 def cmd_recommend(args) -> int:
     model, _ = load_model(args.model)
     data, id_map = _load_train_data(args)
-    _check_model_matches(model, data)
     recs = recommend_for_user(model, data, id_map, args.user, args.top_n)
     delimiter = _DELIMITERS[args.format]
     for token, score in recs.items:

@@ -95,19 +95,6 @@ def _penalty(x: np.ndarray, reg: RegularizationSpec) -> float:
     return reg.lam * float(np.abs(x).sum())
 
 
-def poisson_loss_entry(z: float, y: float) -> float:
-    """Negative Poisson log-likelihood of one entry, z - y*log(z).
-
-    The log(y!) constant is omitted: it does not depend on the model. For
-    y = 0 the loss is just z, defined for any z >= 0.
-    """
-    if y == 0:
-        return float(z)
-    if z <= 0:
-        raise ValueError(f"loss undefined: prediction {z} <= 0 with positive count {y}")
-    return float(z - y * np.log(z))
-
-
 def objective_vector(
     view: RegressionView,
     reg: RegularizationSpec,

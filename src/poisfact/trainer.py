@@ -135,10 +135,13 @@ _COLLAPSE_HINT = (
 )
 
 
-def _check_finite(matrix: np.ndarray, side: str) -> None:
+def _check_finite(matrix: np.ndarray, side: str, t: int) -> None:
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if len(bad):
-        raise NumericFailureError(f"non-finite factors in {side} row {bad[0]}")
+        raise NumericFailureError(
+            f"training failed at iteration {t}: non-finite factors in {side} row {bad[0]}; "
+            "try a smaller step size (alpha) or stronger regularization (lambda)"
+        )
 
 
 def train(
@@ -194,19 +197,13 @@ def train(
 
     for t in range(config.iters):
         started = time.perf_counter()
-        try:
-            clamps.bump(reused_clamps)
-            model.A = half(model.A, model.B, data.csr, data.user_rows, alpha, reused)
-            _check_finite(model.A, "user")
-            user_done = time.perf_counter()
-            model.B = half(model.B, model.A, data.csc.T, data.item_rows, alpha)  # CSR by item
-            _check_finite(model.B, "item")
-            item_done = time.perf_counter()
-        except NumericFailureError as exc:
-            raise NumericFailureError(
-                f"training failed at iteration {t}: {exc}; "
-                "try a smaller step size (alpha) or stronger regularization (lambda)"
-            ) from exc
+        clamps.bump(reused_clamps)
+        model.A = half(model.A, model.B, data.csr, data.user_rows, alpha, reused)
+        _check_finite(model.A, "user", t)
+        user_done = time.perf_counter()
+        model.B = half(model.B, model.A, data.csc.T, data.item_rows, alpha)  # CSR by item
+        _check_finite(model.B, "item", t)
+        item_done = time.perf_counter()
         # Both all-zero is a fixed point of either solver (column sums and data
         # gradient vanish), so the run can only end degenerate. One all-zero
         # matrix can be refilled by the next half through floored dots, and is

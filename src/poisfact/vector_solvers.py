@@ -169,16 +169,18 @@ def conj_grad_matrix(
 
     The search direction combines the current gradient (zeroed on the active
     set, i.e. coordinates pinned at zero with positive gradient) with the
-    previous direction; it resets to steepest descent whenever the active set
-    changes, the Polak-Ribiere coefficient turns negative, or the direction
-    stops being a descent direction. Steps are found by a projected-arc
+    previous direction by the PR+ rule (Nocedal & Wright, section 5.2): the
+    Polak-Ribiere coefficient is zeroed where it turns negative or the active
+    set changes, and a row's first update has a zero coefficient because its
+    previous free gradient is zero. A direction that is not a descent
+    direction resets to steepest descent. Steps are found by a projected-arc
     Armijo backtracking line search, so accepted steps never increase the
     objective. A row stops at ``max_updates``, when its projected gradient
     drops below PGRAD_TOL in infinity norm, or when its search fails.
 
     All rows run in lockstep: step sizes, Polak-Ribiere coefficients and
-    trial steps are per-row vectors, and stops, acceptances and resets are
-    row masks. A per-entry buffer holds X's floored dots: each backtrack
+    trial steps are per-row vectors, and stops and acceptances are row
+    masks. A per-entry buffer holds X's floored dots: each backtrack
     gathers and scores only the entries of the rows still searching, an
     accepted trial writes its dots there, and every row's gradient is formed
     from it once per update, so ``stats`` counts each point's clamps once.
@@ -193,7 +195,6 @@ def conj_grad_matrix(
     d = np.zeros_like(X)
     g_free_prev = np.zeros_like(X)
     active_prev = np.zeros(X.shape, dtype=bool)
-    fresh = np.ones(len(X), dtype=bool)  # no step accepted yet, so no direction to continue
     step = None
     live = np.arange(len(X))
     for _ in range(max_updates):
@@ -216,13 +217,11 @@ def conj_grad_matrix(
             (g_free * (g_free - gp)).sum(axis=1), denom,
             out=np.zeros(len(live)), where=denom > 0.0,
         )
-        restart = fresh[live] | (active != active_prev[live]).any(axis=1) | (beta < 0.0)
-        dl = np.where(restart[:, None], -g_free, -g_free + beta[:, None] * d[live])
+        beta[(beta < 0.0) | (active != active_prev[live]).any(axis=1)] = 0.0
+        dl = -g_free + beta[:, None] * d[live]
         dl = np.where(((dl * gl).sum(axis=1) >= 0.0)[:, None], -g_free, dl)
 
         t = step[live]
-        cand = np.empty_like(x)
-        f_cand = np.empty(len(live))
         accepted = np.zeros(len(live), dtype=bool)
         search = np.arange(len(live))
         for _ in range(MAX_BACKTRACKS):
@@ -236,7 +235,7 @@ def conj_grad_matrix(
             # the step away from a descent direction.
             ok = f_trial <= f[live[search]] + ARMIJO_C * np.fmin(0.0, gain)
             hit = search[ok]
-            cand[hit], f_cand[hit], accepted[hit] = trial[ok], f_trial[ok], True
+            X[live[hit]], f[live[hit]], accepted[hit] = trial[ok], f_trial[ok], True  # x is a copy
             kept = ok[owner]
             dots[at[kept]] = trial_dots[kept]
             search = search[~ok]
@@ -245,9 +244,7 @@ def conj_grad_matrix(
             t[search] *= ARMIJO_SHRINK
 
         live = live[accepted]
-        X[live], f[live] = cand[accepted], f_cand[accepted]
         d[live], g_free_prev[live], active_prev[live] = dl[accepted], g_free[accepted], active[accepted]
-        fresh[live] = False
         step[live] = t[accepted] * 2.0
     return X
 

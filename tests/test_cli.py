@@ -13,6 +13,7 @@ import pytest
 
 from poisfact import (
     ConfigError,
+    DataMismatchError,
     EvalConfig,
     FactorModel,
     IdMap,
@@ -488,6 +489,38 @@ def test_recommend_unknown_user_exits_5(workspace, capsys):
     code = main(["recommend", str(model_path), str(train_file), "ghost"])
     assert code == 5
     assert "unknown user id 'ghost'" in capsys.readouterr().err
+
+
+def test_recommend_for_user_rejects_mismatched_dimensions():
+    # a 3 x 6 history seen by a 3 x 4 model would index items the model lacks
+    rng = np.random.default_rng(74)
+    data = SparseInteractions.from_entries([0, 1, 2], [5, 0, 3], np.ones(3), 3, 6)
+    users, items = ["u0", "u1", "u2"], [f"i{i}" for i in range(6)]
+    id_map = IdMap(users, items)
+    narrow = FactorModel(rng.gamma(1.0, size=(3, 2)), rng.gamma(1.0, size=(4, 2)), 2)
+    with pytest.raises(DataMismatchError, match="model is 3 users x 4 items but the training data has 3 users x 6 items"):
+        recommend_for_user(narrow, data, id_map, "u0", 2)
+    short = FactorModel(rng.gamma(1.0, size=(2, 2)), rng.gamma(1.0, size=(6, 2)), 2)
+    with pytest.raises(DataMismatchError, match="model is 2 users x 6 items"):
+        recommend_for_user(short, data, id_map, "u0", 2)
+    model = FactorModel(rng.gamma(1.0, size=(3, 2)), rng.gamma(1.0, size=(6, 2)), 2)
+    with pytest.raises(DataMismatchError, match="id map has 2 users x 6 items but the training data has 3 users x 6 items"):
+        recommend_for_user(model, data, IdMap(users[:2], items), "u0", 2)
+    with pytest.raises(DataMismatchError, match="id map has 3 users x 4 items"):
+        recommend_for_user(model, data, IdMap(users, items[:4]), "u0", 2)
+    assert len(recommend_for_user(model, data, id_map, "u0", 2).items) == 2
+
+
+def test_recommend_with_model_of_another_file_exits_5(workspace, tmp_path, capsys):
+    other = write_corpus(tmp_path / "other.csv", seed=4, m=8, n=6)
+    model_path = tmp_path / "small.bin"
+    assert main(train_args(other, model_path)) == 0
+    capsys.readouterr()
+    code = main(["recommend", str(model_path), str(workspace / "out" / "train.csv"), "user3"])
+    out = capsys.readouterr()
+    assert code == 5
+    assert out.out == ""
+    assert "model is 8 users x 6 items but the training data has 30 users x 20 items" in out.err
 
 
 def test_recommend_for_user_rejects_nonpositive_top_n(workspace):

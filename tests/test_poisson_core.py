@@ -21,7 +21,6 @@ from poisfact import (
     full_objective,
     gradient_vector,
     objective_vector,
-    poisson_loss_entry,
     prox_l1,
     prox_l2,
     prox_operator,
@@ -114,23 +113,6 @@ def random_instance(rng, max_side=25, k=3, density=0.15):
     A = rng.uniform(0.05, 1.5, size=(m, k))
     B = rng.uniform(0.05, 1.5, size=(n, k))
     return data, A, B, X.astype(float)
-
-
-# ---------------------------------------------------------------- loss
-
-
-def test_loss_entry_values():
-    assert poisson_loss_entry(1.5, 0.0) == 1.5
-    assert poisson_loss_entry(1.0, 1.0) == 1.0
-    assert poisson_loss_entry(2.0, 2.0) == pytest.approx(2.0 - 2.0 * math.log(2.0), rel=1e-15)
-    assert poisson_loss_entry(0.0, 0.0) == 0.0
-
-
-def test_loss_entry_rejects_nonpositive_prediction_with_count():
-    with pytest.raises(ValueError, match="<= 0"):
-        poisson_loss_entry(0.0, 3.0)
-    with pytest.raises(ValueError):
-        poisson_loss_entry(-1.0, 1.0)
 
 
 # ---------------------------------------------------------------- per-vector objective

@@ -13,6 +13,7 @@ import pytest
 from test_vector_solvers import reference_cg
 
 import poisfact.sparse_data as sparse_data
+import poisfact.trainer as trainer_module
 import poisfact.vector_solvers as vector_solvers
 from poisfact import (
     ClampStats,
@@ -377,6 +378,29 @@ def test_train_numeric_failure_names_half_and_row():
         NumericFailureError, match=r"iteration 0: non-finite factors in user row 1"
     ):
         train(data, config)
+
+
+def test_train_numeric_failure_names_item_half_and_row(monkeypatch):
+    # item row 2 turns NaN in the item half of iteration 1; m != n, so the
+    # two halves' matrices cannot be mixed up
+    data = random_data(np.random.default_rng(62), m=7, n=5)
+    halves = []
+
+    def poisoning(counts, rows, X, *args, **kwargs):
+        out = vector_solvers.prox_grad_matrix(counts, rows, X, *args, **kwargs)
+        halves.append(len(X))
+        if len(halves) == 4:
+            out[2, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(trainer_module, "prox_grad_matrix", poisoning)
+    config = TrainConfig(k=2, alpha=1e-2, lam=1.0, iters=3, seed=0)
+    with pytest.raises(NumericFailureError) as err:
+        train(data, config)
+    assert halves == [7, 5, 7, 5]
+    message = str(err.value)
+    assert "training failed at iteration 1: non-finite factors in item row 2" in message
+    assert "smaller step size (alpha)" in message and "regularization (lambda)" in message
 
 
 def test_train_degenerate_model_rejected():
