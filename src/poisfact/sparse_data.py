@@ -1,12 +1,12 @@
-"""Triplet ingestion, id remapping, dual sparse storage, and train/test splits.
+"""Triplet ingestion, id remapping, sparse storage, and train/test splits.
 
 Interaction data arrives as (user, item, count) triplets with opaque string
 identifiers. This module reads them in fixed-size chunks into columns (token
 codes and counts, not one Python object per line), remaps identifiers to
 contiguous integer indices in first-appearance order, stores the count matrix
-simultaneously in row-sparse and column-sparse form (the trainer walks users
-by row and items by column), and produces the entry-wise random holdout split
-used for evaluation.
+row-sparse and derives its column-sparse view on first use (the trainer walks
+users by row and items by column), and produces the entry-wise random holdout
+split used for evaluation.
 """
 
 from __future__ import annotations
@@ -155,27 +155,25 @@ class IdMap:
 
 
 class SparseInteractions:
-    """A user-item count matrix held in row-sparse and column-sparse form.
+    """A user-item count matrix stored once, row-sparse, with views derived from it.
 
-    Both views store exactly the same entries; within each row and column the
-    indices are strictly increasing, and duplicate (u, i) pairs from the input
-    are merged by summation before storage. The finished object is immutable
-    and safe to read from any number of threads; its row indices
-    ``user_rows`` and ``item_rows`` are built on first use and read-only.
+    Within each row the indices are strictly increasing, and duplicate (u, i)
+    pairs from the input are merged by summation before storage. The stored
+    arrays are read-only, so the object is immutable and safe to read from
+    any number of threads. Everything else is derived from ``csr`` on first
+    use, once, and is read-only too: the column view ``csc`` and the row
+    indices ``user_rows`` and ``item_rows``.
 
     Attributes
     ----------
     csr : scipy.sparse.csr_matrix
         Row view; ``csr.indptr``/``csr.indices``/``csr.data`` give per-user
         item lists.
-    csc : scipy.sparse.csc_matrix
-        Column view with identical entries.
     """
 
-    def __init__(self, csr: sp.csr_matrix, csc: sp.csc_matrix):
+    def __init__(self, csr: sp.csr_matrix):
         self.csr = csr
-        self.csc = csc
-        for array in (csr.data, csr.indices, csr.indptr, csc.data, csc.indices, csc.indptr):
+        for array in (csr.data, csr.indices, csr.indptr):
             _read_only(array)
 
     @classmethod
@@ -212,9 +210,7 @@ class SparseInteractions:
         if not finite.all():
             j = int(np.argmin(finite))  # the first merged entry that overflowed
             raise _NonFiniteMerge(int(row_entries(csr.indptr)[0][j]), int(csr.indices[j]))
-        csc = csr.tocsc()
-        csc.sort_indices()
-        return cls(csr, csc)
+        return cls(csr)
 
     @property
     def m(self) -> int:
@@ -238,13 +234,13 @@ class SparseInteractions:
         lo, hi = self.csc.indptr[i], self.csc.indptr[i + 1]
         return self.csc.indices[lo:hi], self.csc.data[lo:hi]
 
-    @property
-    def row_degrees(self) -> np.ndarray:
-        return np.diff(self.csr.indptr)
-
-    @property
-    def col_degrees(self) -> np.ndarray:
-        return np.diff(self.csc.indptr)
+    @cached_property
+    def csc(self) -> sp.csc_matrix:
+        """Column view with the same entries, row indices strictly increasing in each column."""
+        csc = self.csr.tocsc()
+        for array in (csc.data, csc.indices, csc.indptr):
+            _read_only(array)
+        return csc
 
     @cached_property
     def user_rows(self) -> np.ndarray:
@@ -483,7 +479,7 @@ def parse_triplets(source: TextIO, delimiter: str = ",", has_header: bool = Fals
 
 
 def build_interactions(triplets: Triplets) -> tuple[SparseInteractions, IdMap]:
-    """Build both views and the id map of parsed triplets.
+    """Build the count matrix and the id map of parsed triplets.
 
     Ids keep the parser's first-appearance order. Duplicate (user, item)
     pairs are merged by summing their counts; a sum that overflows float64
@@ -541,7 +537,7 @@ def split_train_test(
         (data.csr.data[to_train], data.csr.indices[to_train], indptr), shape=(data.m, data.n)
     )
     test = (users[keep].astype(np.int64), items[keep].astype(np.int64), counts[keep])
-    return SplitPair(train=SparseInteractions(csr, csr.tocsc()), test=test)
+    return SplitPair(train=SparseInteractions(csr), test=test)
 
 
 class _CountTexts(dict):

@@ -236,8 +236,8 @@ def train(
 
     # Zero rows among rows that do have training entries signal a failed fit;
     # cold rows are expected to decay and are not counted.
-    zero_a = int(((model.A == 0).all(axis=1) & (data.row_degrees > 0)).sum())
-    zero_b = int(((model.B == 0).all(axis=1) & (data.col_degrees > 0)).sum())
+    zero_a = int(((model.A == 0).all(axis=1) & (np.diff(data.csr.indptr) > 0)).sum())
+    zero_b = int(((model.B == 0).all(axis=1) & (np.diff(data.csc.indptr) > 0)).sum())
     report = TrainReport(
         iterations=config.iters,
         final_objective=objective_trace[-1],

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from poisfact import (
     ConfigError,
@@ -468,6 +469,21 @@ def test_recommend_orders_and_excludes_history(workspace, capsys):
     )[:6]
     assert got_tokens == [id_map.item_token(i) for i in expected]
     assert not {id_map.item_token(i) for i in seen} & set(got_tokens)
+
+
+def test_split_evaluate_and_recommend_build_no_column_view(workspace, monkeypatch):
+    # only training's item half reads the item-major view of the counts
+    model_path = workspace / "model.bin"
+    train_file, test_file = workspace / "out" / "train.csv", workspace / "out" / "test.csv"
+    assert main(train_args(train_file, model_path)) == 0
+
+    def refuse(csr, copy=False):
+        raise AssertionError("built a column view")
+
+    monkeypatch.setattr(sp.csr_matrix, "tocsc", refuse)
+    assert main(["split", str(workspace / "all.csv"), str(workspace / "again"), "--seed", "7"]) == 0
+    assert main(["evaluate", str(model_path), str(train_file), str(test_file)]) == 0
+    assert main(["recommend", str(model_path), str(train_file), "user3", "--top-n", "4"]) == 0
 
 
 def test_recommend_top_n_larger_than_catalog(workspace, capsys):

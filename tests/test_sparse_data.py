@@ -1,4 +1,4 @@
-"""Ingestion, id mapping, dual sparse views, and the holdout split."""
+"""Ingestion, id mapping, sparse storage and its derived views, and the holdout split."""
 
 import io
 import math
@@ -227,14 +227,16 @@ def test_build_merged_overflow_names_the_pair():
 def test_views_are_sorted_and_immutable():
     rng = np.random.default_rng(3)
     data, _ = build_interactions(random_triplets(rng, 300))
+    assert "csc" not in vars(data)  # the column view is built on first use
     for u in range(data.m):
         items, _ = data.row(u)
         assert np.all(np.diff(items) > 0)
     for i in range(data.n):
         users, _ = data.col(i)
         assert np.all(np.diff(users) > 0)
-    with pytest.raises(ValueError):
-        data.csr.data[0] = 99.0
+    for view in (data.csr, data.csc):
+        with pytest.raises(ValueError):
+            view.data[0] = 99.0
 
 
 def test_roundtrip_rebuild_identical():
@@ -449,7 +451,11 @@ def test_split_train_equals_from_entries_of_kept_entries(seed):
     all_users, all_items, all_counts = data.entries()
     kept = np.random.default_rng(seed).random(data.nnz) >= fraction
     want = SparseInteractions.from_entries(all_users[kept], all_items[kept], all_counts[kept], m, n)
-    for got_view, want_view in ((pair.train.csr, want.csr), (pair.train.csc, want.csc)):
+    # neither builder makes the column view; it is derived from the CSR on first use
+    assert all("csc" not in vars(built) for built in (data, want, pair.train))
+    eager = want.csr.tocsc()  # the reference: an eagerly built, sorted column view
+    eager.sort_indices()
+    for got_view, want_view in ((pair.train.csr, want.csr), (pair.train.csc, eager), (want.csc, eager)):
         assert type(got_view) is type(want_view) and got_view.shape == want_view.shape
         for name in ("indptr", "indices", "data"):
             got_array, want_array = getattr(got_view, name), getattr(want_view, name)

@@ -10,6 +10,7 @@ the row-at-a-time reference CG of the solver tests.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from test_vector_solvers import reference_cg
 
 import poisfact.sparse_data as sparse_data
@@ -336,14 +337,24 @@ def test_train_builds_each_row_index_once(monkeypatch, solver):
             built.append(indptr)
         return row_entries(indptr, rows)
 
+    views = []
+    tocsc = sp.csr_matrix.tocsc
+
+    def counting_tocsc(csr, copy=False):
+        views.append(csr)
+        return tocsc(csr, copy)
+
     for module in (sparse_data, vector_solvers):
         monkeypatch.setattr(module, "row_entries", counting)
+    monkeypatch.setattr(sp.csr_matrix, "tocsc", counting_tocsc)
     data = random_data(np.random.default_rng(61), m=40, n=30)
     split = split_train_test(data, 0.2, 1, seed=3)
-    assert "user_rows" not in vars(data) and "item_rows" not in vars(data)  # split only
+    assert not {"user_rows", "item_rows", "csc"} & vars(data).keys()  # split only
+    assert "csc" not in vars(split.train) and not views
     built.clear()
     config = TrainConfig(k=2, alpha=1e-2, lam=1.0, iters=3, seed=1, solver=solver)
     train(split.train, config)
+    assert len(views) == 1 and views[0] is split.train.csr  # the item halves share one column view
     assert [id(indptr) for indptr in built] == [id(split.train.csr.indptr), id(split.train.csc.indptr)]
     for rows, view in ((split.train.user_rows, split.train.csr), (split.train.item_rows, split.train.csc)):
         assert rows.dtype == view.indptr.dtype and not rows.flags.writeable
