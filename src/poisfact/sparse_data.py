@@ -4,9 +4,9 @@ Interaction data arrives as (user, item, count) triplets with opaque string
 identifiers. This module reads them in fixed-size chunks into columns (token
 codes and counts, not one Python object per line), remaps identifiers to
 contiguous integer indices in first-appearance order, stores the count matrix
-row-sparse and derives its column-sparse view on first use (the trainer walks
-users by row and items by column), and produces the entry-wise random holdout
-split used for evaluation.
+row-sparse (the trainer walks users by its rows and items by its transpose, so
+every entry has one order), and produces the entry-wise random holdout split
+used for evaluation.
 """
 
 from __future__ import annotations
@@ -160,9 +160,10 @@ class SparseInteractions:
     Within each row the indices are strictly increasing, and duplicate (u, i)
     pairs from the input are merged by summation before storage. The stored
     arrays are read-only, so the object is immutable and safe to read from
-    any number of threads. Everything else is derived from ``csr`` on first
-    use, once, and is read-only too: the column view ``csc`` and the row
-    indices ``user_rows`` and ``item_rows``.
+    any number of threads. Derived from ``csr`` on first use, once, and
+    read-only too: ``user_rows``, each entry's user, which training reads
+    with ``csr.indices``, and the column view ``csc``, which only the
+    benchmark's ingest check reads.
 
     Attributes
     ----------
@@ -225,14 +226,11 @@ class SparseInteractions:
         return self.csr.nnz
 
     def row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Item indices and counts of user u, indices strictly increasing."""
+        """Item indices and counts of user u, indices strictly increasing; u outside [0, m) is a DataError."""
+        if not 0 <= u < self.m:  # a negative u would wrap
+            raise DataError(f"user index {u} is outside the matrix's {self.m} users")
         lo, hi = self.csr.indptr[u], self.csr.indptr[u + 1]
         return self.csr.indices[lo:hi], self.csr.data[lo:hi]
-
-    def col(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """User indices and counts of item i, indices strictly increasing."""
-        lo, hi = self.csc.indptr[i], self.csc.indptr[i + 1]
-        return self.csc.indices[lo:hi], self.csc.data[lo:hi]
 
     @cached_property
     def csc(self) -> sp.csc_matrix:
@@ -246,11 +244,6 @@ class SparseInteractions:
     def user_rows(self) -> np.ndarray:
         """User of each stored entry in ``csr`` order: the row index of the user-major view."""
         return _read_only(row_entries(self.csr.indptr)[0])
-
-    @cached_property
-    def item_rows(self) -> np.ndarray:
-        """Item of each stored entry in ``csc`` order: the row index of the item-major view."""
-        return _read_only(row_entries(self.csc.indptr)[0])
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All stored entries as (users, items, counts) in row-major order; users built afresh."""

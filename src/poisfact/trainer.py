@@ -2,9 +2,10 @@
 
 Each outer iteration freezes the item matrix, refreshes its column-sum vector,
 updates every user row from that user's nonzero entries alone, then does the
-mirror-image pass over item rows. The zero entries of the count matrix enter
-only through the sum vectors, which keeps one iteration at
-O(nnz*k*tau + (m+n)*k) regardless of how large m*n grows.
+mirror-image pass over item rows through the user-major CSR's transpose,
+which lists each item's entries by increasing user: one entry order for all.
+The zero entries of the count matrix enter only through the sum vectors,
+which keeps one iteration at O(nnz*k*tau + (m+n)*k) however large m*n grows.
 
 Row updates within a half-iteration are independent: each reads the frozen
 other matrix, the shared sum vector, and its own row, and writes only its own
@@ -189,19 +190,19 @@ def train(
         data.m, data.n, data.nnz, config.k, choice.method, config.iters,
     )
 
-    def half(X, fixed, counts, rows, alpha, reused=None):
+    def half(X, fixed, counts, rows, cols, alpha, reused=None):
         s = fixed.sum(axis=0)
         if choice.method == PROXGRAD:
-            return prox_grad_matrix(counts, rows, X, fixed, s, alpha, reg, choice.tau, clamps, reused)
-        return conj_grad_matrix(counts, rows, X, fixed, s, reg, choice.max_updates, clamps, reused)
+            return prox_grad_matrix(counts, rows, cols, X, fixed, s, alpha, reg, choice.tau, clamps, reused)
+        return conj_grad_matrix(counts, rows, cols, X, fixed, s, reg, choice.max_updates, clamps, reused)
 
     for t in range(config.iters):
         started = time.perf_counter()
         clamps.bump(reused_clamps)
-        model.A = half(model.A, model.B, data.csr, data.user_rows, alpha, reused)
+        model.A = half(model.A, model.B, data.csr, data.user_rows, data.csr.indices, alpha, reused)
         _check_finite(model.A, "user", t)
         user_done = time.perf_counter()
-        model.B = half(model.B, model.A, data.csc.T, data.item_rows, alpha)  # CSR by item
+        model.B = half(model.B, model.A, data.csr.T, data.csr.indices, data.user_rows, alpha)
         _check_finite(model.B, "item", t)
         item_done = time.perf_counter()
         # Both all-zero is a fixed point of either solver (column sums and data
@@ -237,7 +238,7 @@ def train(
     # Zero rows among rows that do have training entries signal a failed fit;
     # cold rows are expected to decay and are not counted.
     zero_a = int(((model.A == 0).all(axis=1) & (np.diff(data.csr.indptr) > 0)).sum())
-    zero_b = int(((model.B == 0).all(axis=1) & (np.diff(data.csc.indptr) > 0)).sum())
+    zero_b = int(((model.B == 0).all(axis=1) & (np.bincount(data.csr.indices, minlength=data.n) > 0)).sum())
     report = TrainReport(
         iterations=config.iters,
         final_objective=objective_trace[-1],

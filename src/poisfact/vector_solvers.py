@@ -24,7 +24,6 @@ from .poisson_core import (
     entry_dots,
     prox_operator,
 )
-from .sparse_data import row_entries
 
 PROXGRAD = "proxgrad"
 CONJGRAD = "cg"
@@ -59,30 +58,33 @@ class SolverChoice:
             raise ConfigError(f"max_updates must be >= 1, got {self.max_updates}")
 
 
-def _nonfinite(what: str, index: int | None) -> NumericFailureError:
-    where = f" for row {index}" if index is not None else ""
-    return NumericFailureError(f"non-finite {what} update{where}")
+def _finite(x: np.ndarray, what: str, index: int | None) -> np.ndarray:
+    if not np.isfinite(x).all():
+        where = f" for row {index}" if index is not None else ""
+        raise NumericFailureError(f"non-finite {what} update{where}")
+    return x
 
 
-def _one_row(view: RegressionView) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The counts of a per-vector view as a one-row CSR over ``view.rows``, and its entries' rows."""
+def _one_row(view: RegressionView) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """A per-vector view's counts as a one-row CSR over ``view.rows``, and its entries' rows and columns."""
     q = len(view.counts)
-    return sp.csr_matrix((view.counts, np.arange(q), [0, q]), shape=(1, q)), np.zeros(q, np.int64)
+    return sp.csr_matrix((view.counts, np.arange(q), [0, q]), shape=(1, q)), np.zeros(q, np.int64), np.arange(q)
 
 
-def _ratio_times(counts: sp.csr_matrix, dots: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """The counts divided by their entries' dots, as CSR, times ``fixed``.
+def _ratio_times(counts: sp.spmatrix, dots: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """The counts divided by their entries' dots, in the counts' format (CSR or CSC), times ``fixed``.
 
-    Each row sums its own entries in stored order, so its bits do not depend
-    on the other rows.
+    Each row sums its own entries by increasing column in either format, so
+    its bits do not depend on the other rows or on the format.
     """
-    ratio = sp.csr_matrix((counts.data / dots, counts.indices, counts.indptr), counts.shape)
+    ratio = type(counts)((counts.data / dots, counts.indices, counts.indptr), counts.shape)
     return ratio @ fixed
 
 
 def prox_grad_matrix(
-    counts: sp.csr_matrix,
+    counts: sp.spmatrix,
     rows: np.ndarray,
+    cols: np.ndarray,
     X: np.ndarray,
     fixed: np.ndarray,
     s: np.ndarray,
@@ -94,18 +96,19 @@ def prox_grad_matrix(
 ) -> np.ndarray:
     """Apply tau proximal-gradient steps to every row of X at once.
 
-    ``counts`` (rows of X by rows of ``fixed``) divided by the entries' dots,
-    times ``fixed``, is the negated gradient; empty rows get exactly zero.
-    ``rows`` holds the row of each stored entry of ``counts`` (row_entries).
-    Each row gets the same bits as when updated alone (prox_grad_update).
-    ``dots`` are the first step's floored dots if known, their clamps the
-    caller's to count.
+    ``counts`` (rows of X by rows of ``fixed``, CSR or CSC) divided by the
+    entries' dots, times ``fixed``, is the negated gradient; empty rows get
+    exactly zero. ``rows`` and ``cols`` hold each stored entry's row of X and
+    of ``fixed``: ``(user_rows, csr.indices)`` for the user-major CSR, and
+    ``(csr.indices, user_rows)`` for its transpose. Each row gets the same
+    bits as when updated alone (prox_grad_update). ``dots`` are the first
+    step's floored dots if known, their clamps the caller's to count.
     """
     if alpha <= 0:
         raise ValueError(f"step size must be positive, got {alpha}")
     for step in range(tau):
         if step or dots is None:
-            dots = entry_dots(X, fixed, rows, counts.indices, stats)
+            dots = entry_dots(X, fixed, rows, cols, stats)
         step_to = _ratio_times(counts, dots, fixed)  # X - alpha * gradient, formed in place
         step_to *= alpha
         step_to += X
@@ -135,9 +138,7 @@ def prox_grad_update(
         caller supplies the row being updated.
     """
     x = prox_grad_matrix(*_one_row(view), x[None, :], view.rows, view.s, alpha, reg, tau, stats)[0]
-    if not np.isfinite(x).all():
-        raise _nonfinite("proximal-gradient", index)
-    return x
+    return _finite(x, "proximal-gradient", index)
 
 
 def _row_objectives(
@@ -155,8 +156,9 @@ def _row_objectives(
 
 
 def conj_grad_matrix(
-    counts: sp.csr_matrix,
+    counts: sp.spmatrix,
     rows: np.ndarray,
+    cols: np.ndarray,
     X: np.ndarray,
     fixed: np.ndarray,
     s: np.ndarray,
@@ -180,17 +182,18 @@ def conj_grad_matrix(
 
     All rows run in lockstep: step sizes, Polak-Ribiere coefficients and
     trial steps are per-row vectors, and stops and acceptances are row
-    masks. A per-entry buffer holds X's floored dots: each backtrack
-    gathers and scores only the entries of the rows still searching, an
-    accepted trial writes its dots there, and every row's gradient is formed
-    from it once per update, so ``stats`` counts each point's clamps once.
-    ``dots`` are X's floored dots if known, their clamps the caller's to
-    count; the solver reads a copy. Every reduction stays inside its row, in
-    stored order, so a row gets the same bits as when updated alone
-    (conj_grad_update). ``rows`` is as for prox_grad_matrix.
+    masks. A per-entry buffer holds X's floored dots: each backtrack gathers
+    and scores only the entries of the rows still searching (selected once
+    per update, then narrowed), an accepted trial writes its dots there, and
+    every row's gradient is formed from it once per update, so ``stats``
+    counts each point's clamps once. ``dots`` are X's floored dots if known,
+    their clamps the caller's to count; the solver reads a copy. Every
+    reduction stays inside its row, by increasing column, so a row gets the
+    same bits as when updated alone (conj_grad_update). ``rows`` and
+    ``cols`` are as for prox_grad_matrix.
     """
     X = np.array(X, dtype=np.float64, copy=True)
-    dots = entry_dots(X, fixed, rows, counts.indices, stats) if dots is None else np.array(dots, dtype=np.float64)
+    dots = entry_dots(X, fixed, rows, cols, stats) if dots is None else np.array(dots, dtype=np.float64)
     f = _row_objectives(counts.data, rows, X, s, reg, dots)
     d = np.zeros_like(X)
     g_free_prev = np.zeros_like(X)
@@ -224,11 +227,14 @@ def conj_grad_matrix(
         t = step[live]
         accepted = np.zeros(len(live), dtype=bool)
         search = np.arange(len(live))
+        slot = np.full(len(X), -1)
+        slot[live] = search
+        at = np.flatnonzero(slot[rows] >= 0)  # the live rows' entries, in stored order
+        owner = slot[rows[at]]  # and each one's row's place in search
         for _ in range(MAX_BACKTRACKS):
             xs = x[search]
             trial = np.maximum(0.0, xs + t[search, None] * dl[search])
-            owner, at = row_entries(counts.indptr, live[search])  # the searching rows' entries
-            trial_dots = entry_dots(trial, fixed, owner, counts.indices[at], stats)
+            trial_dots = entry_dots(trial, fixed, owner, cols[at], stats)
             f_trial = _row_objectives(counts.data[at], owner, trial, s, reg, trial_dots)
             gain = (gl[search] * (trial - xs)).sum(axis=1)
             # fmin(0, gain) keeps acceptance monotone even if projection bends
@@ -241,6 +247,7 @@ def conj_grad_matrix(
             search = search[~ok]
             if not len(search):
                 break
+            at, owner = at[~kept], (np.cumsum(~ok) - 1)[owner[~kept]]
             t[search] *= ARMIJO_SHRINK
 
         live = live[accepted]
@@ -268,6 +275,4 @@ def conj_grad_update(
         caller supplies the row being updated.
     """
     x = conj_grad_matrix(*_one_row(view), x[None, :], view.rows, view.s, reg, max_updates, stats)[0]
-    if not np.isfinite(x).all():
-        raise _nonfinite("conjugate-gradient", index)
-    return x
+    return _finite(x, "conjugate-gradient", index)

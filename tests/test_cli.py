@@ -472,7 +472,7 @@ def test_recommend_orders_and_excludes_history(workspace, capsys):
 
 
 def test_split_evaluate_and_recommend_build_no_column_view(workspace, monkeypatch):
-    # only training's item half reads the item-major view of the counts
+    # every command reads the user-major CSR alone; training's item half reads its transpose
     model_path = workspace / "model.bin"
     train_file, test_file = workspace / "out" / "train.csv", workspace / "out" / "test.csv"
     assert main(train_args(train_file, model_path)) == 0
@@ -484,6 +484,8 @@ def test_split_evaluate_and_recommend_build_no_column_view(workspace, monkeypatc
     assert main(["split", str(workspace / "all.csv"), str(workspace / "again"), "--seed", "7"]) == 0
     assert main(["evaluate", str(model_path), str(train_file), str(test_file)]) == 0
     assert main(["recommend", str(model_path), str(train_file), "user3", "--top-n", "4"]) == 0
+    assert main(train_args(train_file, workspace / "again.bin")) == 0
+    assert (workspace / "again.bin").read_bytes() == model_path.read_bytes()
 
 
 def test_recommend_top_n_larger_than_catalog(workspace, capsys):

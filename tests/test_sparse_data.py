@@ -46,11 +46,12 @@ def materialize(data):
 
 
 def materialize_cols(data):
-    """Same entry set read through the column view."""
+    """Same entry set read through a column view built here from the CSR."""
+    csc = data.csr.tocsc()
     out = {}
     for i in range(data.n):
-        users, values = data.col(i)
-        for u, x in zip(users.tolist(), values.tolist()):
+        lo, hi = csc.indptr[i], csc.indptr[i + 1]
+        for u, x in zip(csc.indices[lo:hi].tolist(), csc.data[lo:hi].tolist()):
             out[(u, i)] = x
     return out
 
@@ -232,8 +233,7 @@ def test_views_are_sorted_and_immutable():
         items, _ = data.row(u)
         assert np.all(np.diff(items) > 0)
     for i in range(data.n):
-        users, _ = data.col(i)
-        assert np.all(np.diff(users) > 0)
+        assert np.all(np.diff(data.csc.indices[data.csc.indptr[i] : data.csc.indptr[i + 1]]) > 0)
     for view in (data.csr, data.csc):
         with pytest.raises(ValueError):
             view.data[0] = 99.0
@@ -616,6 +616,15 @@ def test_idmap_tokens_reject_index_outside_table():
         with pytest.raises(DataError, match=f"item index {index} is outside the id map's 3 items"):
             id_map.item_token(index)
     assert (id_map.user_token(np.int64(1)), id_map.item_token(2)) == ("y", "r")
+
+
+def test_row_rejects_index_outside_matrix():
+    data = SparseInteractions.from_entries([0, 2], [1, 0], [1.0, 2.0], 3, 2)
+    for u in (-1, 3):  # -1 would wrap to indptr[-1]:indptr[0], an empty row
+        with pytest.raises(DataError, match=f"user index {u} is outside the matrix's 3 users"):
+            data.row(u)
+    items, counts = data.row(np.int64(2))
+    assert items.tolist() == [0] and counts.tolist() == [2.0]
 
 
 # ---------------------------------------------------------------- columnar reader against the per-line rule

@@ -46,6 +46,12 @@ def random_data(rng, m=12, n=9, density=0.3):
     return SparseInteractions.from_entries(users, items, X[users, items].astype(float), m, n)
 
 
+def columns(data):
+    """Users and counts of each item, from a column view built here from the CSR."""
+    csc = data.csr.tocsc()
+    return [(csc.indices[lo:hi], csc.data[lo:hi]) for lo, hi in zip(csc.indptr[:-1], csc.indptr[1:])]
+
+
 def manual_proxgrad(data, config):
     """Reference loop: same primitives, plain Python, sequential rows."""
     model = init_factors(data.m, data.n, config.k, config.seed)
@@ -60,8 +66,7 @@ def manual_proxgrad(data, config):
             view = RegressionView(x=A[u], rows=B[items], counts=counts, s=s_b)
             A[u] = prox_grad_update(A[u], view, alpha, reg, tau)
         s_a = A.sum(axis=0)
-        for i in range(data.n):
-            users, counts = data.col(i)
+        for i, (users, counts) in enumerate(columns(data)):
             view = RegressionView(x=B[i], rows=A[users], counts=counts, s=s_a)
             B[i] = prox_grad_update(B[i], view, alpha, reg, tau)
         alpha *= 0.5
@@ -180,8 +185,7 @@ def test_train_clamp_events_match_per_row_tally(tau):
             view = RegressionView(x=A[u], rows=B[items], counts=counts, s=s_b)
             A[u] = prox_grad_update(A[u], view, alpha, reg, tau, stats=stats)
         s_a = A.sum(axis=0)
-        for i in range(data.n):
-            users, counts = data.col(i)
+        for i, (users, counts) in enumerate(columns(data)):
             view = RegressionView(x=B[i], rows=A[users], counts=counts, s=s_a)
             B[i] = prox_grad_update(B[i], view, alpha, reg, tau, stats=stats)
         alpha *= 0.5
@@ -207,8 +211,7 @@ def manual_cg(data, config, update):
             view = RegressionView(x=A[u], rows=B[items], counts=counts, s=s_b)
             A[u] = update(A[u], view, reg, updates, stats=stats)
         s_a = A.sum(axis=0)
-        for i in range(data.n):
-            users, counts = data.col(i)
+        for i, (users, counts) in enumerate(columns(data)):
             view = RegressionView(x=B[i], rows=A[users], counts=counts, s=s_a)
             B[i] = update(B[i], view, reg, updates, stats=stats)
         full_objective(data, A, B, reg, stats=stats)
@@ -337,28 +340,24 @@ def test_train_builds_each_row_index_once(monkeypatch, solver):
             built.append(indptr)
         return row_entries(indptr, rows)
 
-    views = []
-    tocsc = sp.csr_matrix.tocsc
+    def refuse(matrix, copy=False):
+        raise AssertionError("built a column view")
 
-    def counting_tocsc(csr, copy=False):
-        views.append(csr)
-        return tocsc(csr, copy)
-
-    for module in (sparse_data, vector_solvers):
-        monkeypatch.setattr(module, "row_entries", counting)
-    monkeypatch.setattr(sp.csr_matrix, "tocsc", counting_tocsc)
+    monkeypatch.setattr(sparse_data, "row_entries", counting)
+    # the item halves read the CSR's transpose: no item-major copy, either way round
+    monkeypatch.setattr(sp.csr_matrix, "tocsc", refuse)
+    monkeypatch.setattr(sp.csc_matrix, "tocsr", refuse)
     data = random_data(np.random.default_rng(61), m=40, n=30)
     split = split_train_test(data, 0.2, 1, seed=3)
-    assert not {"user_rows", "item_rows", "csc"} & vars(data).keys()  # split only
-    assert "csc" not in vars(split.train) and not views
+    assert not {"user_rows", "csc"} & vars(data).keys()  # split only
     built.clear()
     config = TrainConfig(k=2, alpha=1e-2, lam=1.0, iters=3, seed=1, solver=solver)
     train(split.train, config)
-    assert len(views) == 1 and views[0] is split.train.csr  # the item halves share one column view
-    assert [id(indptr) for indptr in built] == [id(split.train.csr.indptr), id(split.train.csc.indptr)]
-    for rows, view in ((split.train.user_rows, split.train.csr), (split.train.item_rows, split.train.csc)):
-        assert rows.dtype == view.indptr.dtype and not rows.flags.writeable
-        assert np.array_equal(rows, np.repeat(np.arange(len(view.indptr) - 1), np.diff(view.indptr)))
+    assert "csc" not in vars(split.train)
+    assert [id(indptr) for indptr in built] == [id(split.train.csr.indptr)]  # user_rows, once
+    rows, view = split.train.user_rows, split.train.csr
+    assert rows.dtype == view.indptr.dtype and not rows.flags.writeable
+    assert np.array_equal(rows, np.repeat(np.arange(len(view.indptr) - 1), np.diff(view.indptr)))
 
 
 # ---------------------------------------------------------------- failure paths
@@ -397,8 +396,8 @@ def test_train_numeric_failure_names_item_half_and_row(monkeypatch):
     data = random_data(np.random.default_rng(62), m=7, n=5)
     halves = []
 
-    def poisoning(counts, rows, X, *args, **kwargs):
-        out = vector_solvers.prox_grad_matrix(counts, rows, X, *args, **kwargs)
+    def poisoning(counts, rows, cols, X, *args, **kwargs):
+        out = vector_solvers.prox_grad_matrix(counts, rows, cols, X, *args, **kwargs)
         halves.append(len(X))
         if len(halves) == 4:
             out[2, 1] = np.nan

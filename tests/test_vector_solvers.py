@@ -253,7 +253,7 @@ def test_prox_grad_matrix_matches_per_row_blas_oracle(tau, reg):
     counts, X, fixed, s = clamping_instance(rng)
     alpha = 1e-3
     stats = ClampStats()
-    got = prox_grad_matrix(counts, row_entries(counts.indptr)[0], X, fixed, s, alpha, reg, tau, stats)
+    got = prox_grad_matrix(counts, row_entries(counts.indptr)[0], counts.indices, X, fixed, s, alpha, reg, tau, stats)
     want, clamped = blas_rows_oracle(counts, X, fixed, s, alpha, reg, tau)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert stats.clamped == clamped >= 8  # rows 5 and 8 clamp at their first step
@@ -269,11 +269,11 @@ def test_prox_grad_matrix_matches_per_row_blas_oracle(tau, reg):
 
 
 def prox_grad_twice(counts, rows, X, fixed, s, reg, stats=None, dots=None):
-    return prox_grad_matrix(counts, rows, X, fixed, s, 1e-3, reg, 2, stats, dots)
+    return prox_grad_matrix(counts, rows, counts.indices, X, fixed, s, 1e-3, reg, 2, stats, dots)
 
 
 def conj_grad_thrice(counts, rows, X, fixed, s, reg, stats=None, dots=None):
-    return conj_grad_matrix(counts, rows, X, fixed, s, reg, 3, stats, dots)
+    return conj_grad_matrix(counts, rows, counts.indices, X, fixed, s, reg, 3, stats, dots)
 
 
 @pytest.mark.parametrize("solve", [prox_grad_twice, conj_grad_thrice], ids=["prox_grad_matrix", "conj_grad_matrix"])
@@ -316,11 +316,11 @@ def test_conj_grad_matrix_forms_one_gradient_per_update(monkeypatch):
     monkeypatch.setattr(vector_solvers, "entry_dots", gather)
     monkeypatch.setattr(vector_solvers, "_ratio_times", ratio_times)
     updates = 3
-    got = conj_grad_matrix(counts, rows, X, fixed, s, L2_FREE, updates, dots=dots)
+    got = conj_grad_matrix(counts, rows, counts.indices, X, fixed, s, L2_FREE, updates, dots=dots)
     trace = "".join(events)
     assert re.fullmatch(r"(RT+)+", trace) and trace.count("R") == updates, trace
     events.clear()
-    assert np.array_equal(conj_grad_matrix(counts, rows, X, fixed, s, L2_FREE, updates), got)
+    assert np.array_equal(conj_grad_matrix(counts, rows, counts.indices, X, fixed, s, L2_FREE, updates), got)
     assert "".join(events) == "W" + trace  # without dots, one whole-matrix gather first
 
 
@@ -328,7 +328,7 @@ def test_prox_grad_matrix_rejects_bad_step():
     rng = np.random.default_rng(39)
     counts, X, fixed, s = clamping_instance(rng)
     with pytest.raises(ValueError, match="positive"):
-        prox_grad_matrix(counts, row_entries(counts.indptr)[0], X, fixed, s, 0.0, L2_FREE)
+        prox_grad_matrix(counts, row_entries(counts.indptr)[0], counts.indices, X, fixed, s, 0.0, L2_FREE)
 
 
 # ---------------------------------------------------------------- conjugate gradient
@@ -462,7 +462,7 @@ def test_conj_grad_matrix_rows_are_one_row_calls(reg):
     rng = np.random.default_rng(42)
     counts, X, fixed, s = collapse_instance(rng)
     stats = ClampStats()
-    got = conj_grad_matrix(counts, row_entries(counts.indptr)[0], X, fixed, s, reg, 5, stats)
+    got = conj_grad_matrix(counts, row_entries(counts.indptr)[0], counts.indices, X, fixed, s, reg, 5, stats)
     tally = ClampStats()
     for r in range(X.shape[0]):
         view = row_view(counts, X, fixed, s, r)
@@ -481,7 +481,7 @@ def test_conj_grad_matrix_matches_reference_iterates():
         reg = CG_REGS[trial % 3]
         updates = int(rng.integers(1, 6))
         stats = ClampStats()
-        got = conj_grad_matrix(counts, row_entries(counts.indptr)[0], X, fixed, s, reg, updates, stats)
+        got = conj_grad_matrix(counts, row_entries(counts.indptr)[0], counts.indices, X, fixed, s, reg, updates, stats)
         tally = ClampStats()
         for r in range(X.shape[0]):
             want = reference_cg(X[r], row_view(counts, X, fixed, s, r), reg, updates, tally)
@@ -499,12 +499,66 @@ def test_conj_grad_matrix_matches_reference_objective():
         counts, X, fixed, s = collapse_instance(rng, r=30, c=int(rng.integers(5, 40)))
         reg = CG_REGS[trial % 3]
         updates = (10, 20, 30)[trial % 3]
-        got = conj_grad_matrix(counts, row_entries(counts.indptr)[0], X, fixed, s, reg, updates)
+        got = conj_grad_matrix(counts, row_entries(counts.indptr)[0], counts.indices, X, fixed, s, reg, updates)
         for r in range(X.shape[0]):
             view = row_view(counts, X, fixed, s, r)
             want = joint_objective(reference_cg(X[r], view, reg, updates), view, reg)
             have = joint_objective(got[r], view, reg)
             assert abs(have - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def item_half_views(rng):
+    """One item half two ways: the transposed user-major CSR and an item-major CSR.
+
+    Each is (counts, rows of X, rows of fixed) per stored entry, with X the
+    item factors and fixed the user factors.
+    """
+    counts, X, fixed, s = collapse_instance(rng)
+    R = counts.T.tocsr()  # user-major: users by items
+    item_major = R.T.tocsr()
+    transposed = R.T, R.indices, row_entries(R.indptr)[0]
+    return (transposed, (item_major, row_entries(item_major.indptr)[0], item_major.indices)), X, fixed, s
+
+
+@pytest.mark.parametrize("tau", [1, 2])
+def test_prox_grad_matrix_reads_the_transposed_user_major_view(tau):
+    views, X, fixed, s = item_half_views(np.random.default_rng(46))
+    assert type(views[0][0]) is sp.csc_matrix  # a view over R's arrays, not a copy
+    reg = RegularizationSpec("l2", 0.8)
+    got = []
+    for counts, rows, cols in views:
+        stats = ClampStats()
+        got.append((prox_grad_matrix(counts, rows, cols, X, fixed, s, 1e-3, reg, tau, stats), stats.clamped))
+    (transposed, clamps), (item_major, want_clamps) = got
+    assert np.array_equal(transposed, item_major) and clamps == want_clamps > 0
+
+
+@pytest.mark.parametrize("reg", [L2_FREE, RegularizationSpec("l1", 0.3)], ids=["l2-free", "l1"])
+def test_conj_grad_matrix_reads_the_transposed_user_major_view(monkeypatch, reg):
+    views, X, fixed, s = item_half_views(np.random.default_rng(47))
+    rounds = []  # per update, the searching rows of each backtracking round
+
+    def gather(P, Q, rows, cols, stats=None, out=None):
+        if rounds:  # not the whole-matrix gather before the first update
+            rounds[-1].append(len(P))
+        return entry_dots(P, Q, rows, cols, stats, out)
+
+    def ratio_times(counts, dots, fixed):
+        rounds.append([])
+        return _ratio_times(counts, dots, fixed)
+
+    monkeypatch.setattr(vector_solvers, "entry_dots", gather)
+    monkeypatch.setattr(vector_solvers, "_ratio_times", ratio_times)
+    got = []
+    for counts, rows, cols in views:
+        rounds.clear()
+        stats = ClampStats()
+        got.append((conj_grad_matrix(counts, rows, cols, X, fixed, s, reg, 5, stats), stats.clamped))
+        # an update in which some rows accept their first trial and others
+        # backtrack, so the entry selection is narrowed to the rows still searching
+        assert any(len(sizes) > 1 and 0 < sizes[1] < sizes[0] for sizes in rounds), rounds
+    (transposed, clamps), (item_major, want_clamps) = got
+    assert np.array_equal(transposed, item_major) and clamps == want_clamps > 0
 
 
 # ---------------------------------------------------------------- determinism and config
