@@ -79,7 +79,7 @@ class RegressionView:
 
 def _floor_dots(dots: np.ndarray, stats: ClampStats | None) -> np.ndarray:
     """Raise dots below DOT_FLOOR to it in place, counting the clamps."""
-    low = int((dots < DOT_FLOOR).sum())
+    low = np.count_nonzero(dots < DOT_FLOOR)
     if low:
         np.maximum(dots, DOT_FLOOR, out=dots)
         if stats is not None:

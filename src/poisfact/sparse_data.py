@@ -27,6 +27,8 @@ from .errors import ConfigError, DataError, DataMismatchError, ParseError
 # output columns and token tables is bounded by this, not by the file size.
 CHUNK_BYTES = 1 << 20
 
+_PADS = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"  # the ASCII whitespace but "\n" that str.strip removes
+
 # Entries the triplet writer formats and writes at a time, as one string.
 WRITE_CHUNK = 1 << 12
 
@@ -372,9 +374,10 @@ def _split_regular(
     The lines' text is joined, its newlines become delimiters, and one
     ``split`` yields every field. A line is valid when both tokens are
     nonempty after stripping and its count is a positive finite number
-    (``float`` ignores the whitespace ``strip`` removes). If the fields do
-    not line up (a line before the last not ended by ``"\\n"``) or the text
-    is not UTF-8, the lines are not screened.
+    (``float`` ignores the whitespace ``strip`` removes); tokens are stripped
+    only if the text is not ASCII or holds ``_PADS`` besides the delimiter.
+    If the fields do not line up (a line before the last not ended by
+    ``"\\n"``) or the text is not UTF-8, the lines are not screened.
     """
     n = len(lines)
     text = "".join(lines)
@@ -382,8 +385,9 @@ def _split_regular(
     if len(fields) != n * width + lines[-1].endswith("\n") or not (text.isascii() or _is_utf8(text)):
         return None
     end = n * width
-    users = list(map(str.strip, fields[0:end:width]))
-    items = list(map(str.strip, fields[1:end:width]))
+    users, items = fields[0:end:width], fields[1:end:width]
+    if not text.isascii() or any(pad in text for pad in _PADS if pad != delimiter):
+        users, items = list(map(str.strip, users)), list(map(str.strip, items))
     try:
         counts = np.fromiter(map(float, fields[2:end:width]), np.float64, n)
     except ValueError:
@@ -417,11 +421,12 @@ def _parse_chunk(
     return list(users), list(items), np.array(counts, dtype=np.float64)
 
 
-def _codes(tokens: list[str], index: dict[str, int]) -> np.ndarray:
-    """Codes of ``tokens``; tokens new to ``index`` take the next codes in order of appearance."""
-    new = [token for token in dict.fromkeys(tokens) if token not in index]
-    index.update(zip(new, range(len(index), len(index) + len(new))))
-    return np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+class _TokenCodes(dict):
+    """Token to code table; an unseen token takes the next code, so codes follow first appearance."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = code = len(self)
+        return code
 
 
 def parse_triplets(source: TextIO, delimiter: str = ",", has_header: bool = False) -> Triplets:
@@ -434,11 +439,13 @@ def parse_triplets(source: TextIO, delimiter: str = ",", has_header: bool = Fals
 
     The stream is read with ``readlines(CHUNK_BYTES)``, one chunk of lines
     at a time, and each chunk becomes code and count arrays, so memory per
-    input line is a few array entries rather than a Python object. A chunk
-    whose lines are all blank or hold the same number of fields is split in
-    one pass; a chunk that mixes field counts is read line by line, about 2x
-    slower, with the same result. Lines should end in ``"\\n"``, as they do
-    from a file opened with the default newline handling or from
+    input line is a few array entries rather than a Python object; each
+    token column is coded in one dict pass. A chunk whose lines are all
+    blank or hold the same number of fields is split in one pass (its tokens
+    stripped only if it holds non-ASCII text or whitespace besides newlines
+    and the delimiter); a chunk that mixes field counts is read line by line,
+    about 2x slower, with the same result. Lines should end in ``"\\n"``, as
+    they do from a file opened with the default newline handling or from
     ``io.StringIO``; a chunk with other line ends is read line by line.
 
     Raises
@@ -449,26 +456,18 @@ def parse_triplets(source: TextIO, delimiter: str = ",", has_header: bool = Fals
         :func:`read_triplet_file`); the message carries the number of the
         first such line.
     """
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
+    user_index, item_index = _TokenCodes(), _TokenCodes()
     users, items, counts = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-    line_no = 1
     if has_header:
         source.readline()
-        line_no = 2
+    line_no = 2 if has_header else 1
     while lines := source.readlines(CHUNK_BYTES):
         chunk_users, chunk_items, chunk_counts = _parse_chunk(lines, line_no, delimiter)
-        users.append(_codes(chunk_users, user_index))
-        items.append(_codes(chunk_items, item_index))
+        users.append(np.fromiter(map(user_index.__getitem__, chunk_users), np.int64, len(chunk_users)))
+        items.append(np.fromiter(map(item_index.__getitem__, chunk_items), np.int64, len(chunk_items)))
         counts.append(chunk_counts)
         line_no += len(lines)
-    return Triplets(
-        tuple(user_index),
-        tuple(item_index),
-        np.concatenate(users),
-        np.concatenate(items),
-        np.concatenate(counts),
-    )
+    return Triplets(tuple(user_index), tuple(item_index), *map(np.concatenate, (users, items, counts)))
 
 
 def build_interactions(triplets: Triplets) -> tuple[SparseInteractions, IdMap]:

@@ -137,10 +137,10 @@ _COLLAPSE_HINT = (
 
 
 def _check_finite(matrix: np.ndarray, side: str, t: int) -> None:
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if len(bad):
+    if not np.isfinite(matrix).all():
+        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]
         raise NumericFailureError(
-            f"training failed at iteration {t}: non-finite factors in {side} row {bad[0]}; "
+            f"training failed at iteration {t}: non-finite factors in {side} row {bad}; "
             "try a smaller step size (alpha) or stronger regularization (lambda)"
         )
 

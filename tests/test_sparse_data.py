@@ -788,6 +788,92 @@ def test_only_the_chunk_that_mixes_field_counts_is_read_line_by_line(monkeypatch
     assert rows_of(got) == reference_parse(io.StringIO(text))
 
 
+def screen_only(monkeypatch):
+    """Make the per-line rule fail the test, so every chunk must pass the one-pass screen."""
+
+    def per_line(*args):
+        raise AssertionError("the per-line rule was called")
+
+    monkeypatch.setattr(sparse_data, "_parse_line", per_line)
+
+
+@pytest.mark.parametrize("d", [",", "\t"])
+def test_chunks_without_whitespace_next_to_padded_ones(d, tmp_path, monkeypatch):
+    # 8-character bare lines and 40-character chunks: blocks of 20 bare lines
+    # give whitespace-free chunks that skip the strip pass, and the padded
+    # blocks between them must still be stripped
+    screen_only(monkeypatch)
+    monkeypatch.setattr(sparse_data, "CHUNK_BYTES", 40)
+    lines = []
+    for j in range(100):
+        user, item = f"u{j % 9}", f"i{j % 5}"
+        if j // 20 % 2:
+            user, item = f" {user}", f"{item}  " if d == "," else f"\x0c{item} "
+        lines.append(d.join([user, item, str(1 + j % 3)]))
+    check_both_paths(tmp_path, "\n".join(lines) + "\n", d, has_header=False)
+
+
+@pytest.mark.parametrize("pad", ["\x1f", "\x0b", "\r"])
+@pytest.mark.parametrize("d", [",", "\t"])
+def test_a_chunk_whose_only_whitespace_is_one_pad_is_stripped(pad, d, tmp_path, monkeypatch):
+    # six lines a chunk and one pad in the whole text: after a user token in
+    # the second chunk, then in a second run before an item token in the
+    # fourth. A file read with the default newline handling ends a line at a
+    # "\r", so there that pad is an error of both the reader and the rule.
+    monkeypatch.setattr(sparse_data, "CHUNK_BYTES", 40)
+    for at, field in ((7, 0), (20, 1)):
+        lines = [[f"u{j % 7}", f"i{j % 4}", str(1 + j % 2)] for j in range(30)]
+        lines[at][field] = f"{lines[at][field]}{pad}" if field == 0 else f"{pad}{lines[at][field]}"
+        text = "\n".join(map(d.join, lines)) + "\n"
+        check_both_paths(tmp_path, text, d, has_header=False)
+        got = parse_triplets(io.StringIO(text), d)
+        assert len(got.user_tokens) == 7 and len(got.item_tokens) == 4
+
+
+def test_a_tab_pads_tokens_of_a_csv(tmp_path, monkeypatch):
+    screen_only(monkeypatch)
+    monkeypatch.setattr(sparse_data, "CHUNK_BYTES", 40)
+    lines = [f"u{j % 6},i{j % 4},{1 + j % 5}" for j in range(40)]
+    lines[25] = "\tu2,i3\t,4"
+    text = "\n".join(lines) + "\n"
+    check_both_paths(tmp_path, text, ",", has_header=False)
+    assert parse_triplets(io.StringIO(text)).user_tokens == tuple(f"u{j}" for j in range(6))
+
+
+@pytest.mark.parametrize("d", [",", "\t"])
+def test_non_ascii_pads_are_stripped(d, tmp_path, monkeypatch):
+    # NO-BREAK SPACE and NEXT LINE are whitespace to str.strip, not ASCII
+    screen_only(monkeypatch)
+    monkeypatch.setattr(sparse_data, "CHUNK_BYTES", 40)
+    lines = [[f"u{j % 6}", f"i{j % 4}", str(1 + j % 5)] for j in range(40)]
+    lines[12][0], lines[13][1], lines[33][1] = "\xa0u1", "i2\x85", "\x85i0\xa0"
+    text = "\n".join(map(d.join, lines)) + "\n"
+    check_both_paths(tmp_path, text, d, has_header=False)
+    got = parse_triplets(io.StringIO(text), d)
+    assert got.user_tokens == tuple(f"u{j}" for j in range(6))
+    assert got.item_tokens == tuple(f"i{j}" for j in range(4))
+
+
+def test_tokens_keep_first_appearance_codes_across_chunks(tmp_path, monkeypatch):
+    # 6-character lines and 25-character chunks: three chunks of five lines.
+    # "c" and "z" first appear in the third chunk and take the next codes;
+    # "a", "b", "x" and "y" of the first chunk keep theirs in every later one.
+    parse_chunk, chunks = sparse_data._parse_chunk, []
+    monkeypatch.setattr(
+        sparse_data, "_parse_chunk", lambda lines, *rest: chunks.append(len(lines)) or parse_chunk(lines, *rest)
+    )
+    monkeypatch.setattr(sparse_data, "CHUNK_BYTES", 25)
+    users = "ababa" "babab" "cacba"
+    items = "xyyxx" "yxxyy" "zxxzy"
+    text = "".join(f"{u},{i},{1 + j % 3}\n" for j, (u, i) in enumerate(zip(users, items)))
+    got = parse_triplets(io.StringIO(text))
+    assert chunks == [5, 5, 5]
+    assert got.user_tokens == ("a", "b", "c") and got.item_tokens == ("x", "y", "z")
+    assert got.users.tolist() == ["abc".index(u) for u in users]
+    assert got.items.tolist() == ["xyz".index(i) for i in items]
+    check_both_paths(tmp_path, text, ",", has_header=False)
+
+
 def test_lines_ended_by_a_lone_carriage_return_follow_the_per_line_rule():
     # a stream that keeps "\r" line ends: the screen's fields would not line up
     text = "a,b,1,z\rc,d,2,3\ne,f,4,5\n"
