@@ -9,6 +9,7 @@ proximal gradient steps or a nonnegative conjugate-gradient solver,
 and the package ships data ingestion, a ranking evaluator, and a CLI.
 """
 
+# the public API: every name imported here
 from .cli import (
     ModelMeta,
     load_model,
@@ -73,55 +74,3 @@ from .vector_solvers import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ModelMeta",
-    "load_model",
-    "main",
-    "recommend_for_user",
-    "save_model",
-    "ConfigError",
-    "DataError",
-    "DataMismatchError",
-    "DegenerateModelError",
-    "EvaluationError",
-    "NumericFailureError",
-    "ParseError",
-    "PoisfactError",
-    "EvalConfig",
-    "EvalReport",
-    "auc_user",
-    "evaluate",
-    "pearson_rho",
-    "precision_at_k",
-    "score_user",
-    "test_loglik",
-    "DOT_FLOOR",
-    "ClampStats",
-    "RegressionView",
-    "RegularizationSpec",
-    "full_objective",
-    "gradient_vector",
-    "objective_vector",
-    "prox_l1",
-    "prox_l2",
-    "prox_operator",
-    "IdMap",
-    "SparseInteractions",
-    "SplitPair",
-    "Triplets",
-    "build_interactions",
-    "parse_triplets",
-    "read_triplet_file",
-    "split_train_test",
-    "write_triplet_file",
-    "FactorModel",
-    "TrainConfig",
-    "TrainReport",
-    "init_factors",
-    "train",
-    "SolverChoice",
-    "conj_grad_update",
-    "prox_grad_update",
-    "__version__",
-]

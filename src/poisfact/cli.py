@@ -186,6 +186,10 @@ def cmd_split(args) -> int:
     triplets = read_triplet_file(args.input, delimiter, args.header)
     data, id_map = build_interactions(triplets)
     pair = split_train_test(data, args.test_fraction, args.min_test_entries, args.seed)
+    train_entries = pair.train.entries()
+    # the maps number ids as `train` does on train.csv: by first appearance there
+    users, items = (dict.fromkeys(column.tolist()) for column in train_entries[:2])
+    train_map = IdMap([triplets.user_tokens[u] for u in users], [triplets.item_tokens[i] for i in items])
     os.makedirs(args.outdir, exist_ok=True)
     # all four outputs are written into a staging directory and moved over
     # the targets only once every write has succeeded
@@ -193,9 +197,9 @@ def cmd_split(args) -> int:
     staging = tempfile.mkdtemp(prefix=".split-", dir=args.outdir)
     try:
         staged = [os.path.join(staging, name) for name in names]
-        write_triplet_file(staged[0], pair.train.entries(), id_map, delimiter)
+        write_triplet_file(staged[0], train_entries, id_map, delimiter)
         write_triplet_file(staged[1], pair.test, id_map, delimiter)
-        id_map.save(staged[2], staged[3])
+        train_map.save(staged[2], staged[3])
         for path, name in zip(staged, names):
             os.replace(path, os.path.join(args.outdir, name))
     finally:
@@ -295,12 +299,8 @@ def cmd_recommend(args) -> int:
 
 
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("csv", "tsv"), default="csv", help="triplet file delimiter"
-    )
-    parser.add_argument(
-        "--header", action="store_true", help="input triplet files carry a header row"
-    )
+    parser.add_argument("--format", choices=_DELIMITERS, default="csv", help="triplet file delimiter")
+    parser.add_argument("--header", action="store_true", help="input triplet files carry a header row")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,16 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit factor matrices to a training file")
     p.add_argument("train", help="training triplet file")
     p.add_argument("model", help="output model path")
-    p.add_argument("--factors", type=int, default=40, help="rank k")
-    p.add_argument("--alpha", type=float, default=1e-7, help="initial step size (proxgrad)")
+    p.add_argument("--factors", type=int, default=TrainConfig.k, help="rank k")
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha, help="initial step size (proxgrad)")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="regularization strength (default 1e9 for proxgrad, 0 for cg)")
     p.add_argument("--iters", type=int, default=None,
                    help="outer iterations (default 10 for proxgrad, 30 for cg)")
     p.add_argument("--tau", type=int, default=None,
                    help="updates per vector per iteration (default 1 for proxgrad, 5 for cg)")
-    p.add_argument("--solver", choices=(PROXGRAD, CONJGRAD), default=PROXGRAD)
-    p.add_argument("--reg", choices=("l2", "l1"), default="l2")
+    p.add_argument("--solver", choices=_SOLVER_TAGS, default=PROXGRAD)
+    p.add_argument("--reg", choices=_REG_TAGS, default="l2")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility and ignored: both solvers update whole matrices")
@@ -344,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("train", help="training triplet file (defines the id space)")
     p.add_argument("test", help="held-out triplet file")
-    p.add_argument("--cutoff", type=int, default=5, help="precision cutoff")
-    p.add_argument("--sample-users", type=int, default=25000)
+    p.add_argument("--cutoff", type=int, default=EvalConfig.cutoff, help="precision cutoff")
+    p.add_argument("--sample-users", type=int, default=EvalConfig.sample_users)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--report-json", metavar="PATH", help="also write the report as JSON")
     _add_format_flags(p)

@@ -68,14 +68,9 @@ class EvalReport:
     users_skipped: int
 
     def to_text(self) -> str:
-        """Key-value lines, one metric per line, fixed field names."""
-        return (
-            f"p_at_k {self.p_at_k:.6f}\n"
-            f"auc {self.auc:.6f}\n"
-            f"pearson_rho {self.pearson_rho:.6f}\n"
-            f"test_loglik {self.test_loglik:.6f}\n"
-            f"users_evaluated {self.users_evaluated}\n"
-            f"users_skipped {self.users_skipped}\n"
+        """Key-value lines, one field per line in declaration order; floats with six decimals."""
+        return "".join(
+            f"{key} {v:.6f}\n" if isinstance(v, float) else f"{key} {v}\n" for key, v in asdict(self).items()
         )
 
     def to_record(self) -> dict:

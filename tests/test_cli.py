@@ -108,6 +108,17 @@ def test_split_train_test_partition_parses_back(workspace):
     assert train_pairs <= full_pairs and test_pairs <= full_pairs
 
 
+def test_split_maps_index_the_model_trained_on_its_train_file(workspace):
+    # train numbers ids by first appearance in train.csv, which leaves out held-out entries
+    def tokens(id_map):
+        return ([id_map.user_token(j) for j in range(id_map.n_users)],
+                [id_map.item_token(j) for j in range(id_map.n_items)])
+
+    out = workspace / "out"
+    maps = IdMap.load(str(out / "users.map"), str(out / "items.map"))
+    assert tokens(maps) == tokens(build_interactions(read_triplet_file(str(out / "train.csv")))[1])
+
+
 def test_split_failing_partway_keeps_the_previous_outputs(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert main(["split", str(write_corpus(tmp_path / "a.csv", seed=0)), str(out)]) == 0

@@ -776,6 +776,12 @@ def test_report_text_and_record():
     assert lines[4] == "users_evaluated 2"
     record = report.to_record()
     assert record["auc"] == 0.25 and record["users_skipped"] == 1
+    # one line per field, in declaration order, under the record's keys
+    assert [line.split(" ")[0] for line in lines] == list(record) == [f.name for f in dataclasses.fields(EvalReport)]
+    text = EvalReport(math.nan, math.inf, np.float64(0.1234567), -math.inf, 7, 0).to_text()
+    assert text == (
+        "p_at_k nan\nauc inf\npearson_rho 0.123457\ntest_loglik -inf\nusers_evaluated 7\nusers_skipped 0\n"
+    )
     # a non-finite metric is None, so the record dumps as strict JSON
     record = EvalReport(0.5, math.nan, math.nan, -math.inf, 2, 1).to_record()
     assert record == {
