@@ -1,21 +1,23 @@
 """Triplet ingestion, id remapping, sparse storage, and train/test splits.
 
 Interaction data arrives as (user, item, count) triplets with opaque string
-identifiers. This module reads them in fixed-size chunks into columns (token
-codes and counts, not one Python object per line), remaps identifiers to
-contiguous integer indices in first-appearance order, stores the count matrix
-row-sparse (the trainer walks users by its rows and items by its transpose, so
-every entry has one order), and produces the entry-wise random holdout split
-used for evaluation.
+identifiers. This module reads them a block of about ``CHUNK_BYTES`` of text
+at a time, checks the block's line structure in one numpy pass over its bytes,
+and turns it into columns (token codes and counts, not one Python object per
+line); it remaps identifiers to contiguous integer indices in first-appearance
+order, stores the count matrix row-sparse (the trainer walks users by its rows
+and items by its transpose, so every entry has one order), and produces the
+entry-wise random holdout split used for evaluation.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from typing import IO, Iterable, Iterator, NoReturn, TextIO
 
 import numpy as np
@@ -367,23 +369,17 @@ def _parse_line(line: str, line_no: int, delimiter: str) -> tuple[str, str, floa
 
 
 def _split_regular(
-    lines: list[str], width: int, delimiter: str
+    text: str, n: int, width: int, delimiter: str
 ) -> tuple[list[str], list[str], np.ndarray] | None:
-    """Tokens and counts of lines holding ``width`` fields each, or None unless every line is valid.
+    """Tokens and counts of text's ``n`` lines of ``width`` fields each, or None unless every line is valid.
 
-    The lines' text is joined, its newlines become delimiters, and one
-    ``split`` yields every field. A line is valid when both tokens are
-    nonempty after stripping and its count is a positive finite number
-    (``float`` ignores the whitespace ``strip`` removes); tokens are stripped
-    only if the text is not ASCII or holds ``_PADS`` besides the delimiter.
-    If the fields do not line up (a line before the last not ended by
-    ``"\\n"``) or the text is not UTF-8, the lines are not screened.
+    The text's newlines become delimiters, and one ``split`` yields every
+    field. A line is valid when both tokens are nonempty after stripping and
+    its count is a positive finite number (``float`` ignores the whitespace
+    ``strip`` removes); tokens are stripped only if the text is not ASCII or
+    holds ``_PADS`` besides the delimiter.
     """
-    n = len(lines)
-    text = "".join(lines)
     fields = text.replace("\n", delimiter).split(delimiter)
-    if len(fields) != n * width + lines[-1].endswith("\n") or not (text.isascii() or _is_utf8(text)):
-        return None
     end = n * width
     users, items = fields[0:end:width], fields[1:end:width]
     if not text.isascii() or any(pad in text for pad in _PADS if pad != delimiter):
@@ -397,28 +393,71 @@ def _split_regular(
     return None
 
 
-def _parse_chunk(
-    lines: list[str], first_line_no: int, delimiter: str
-) -> tuple[list[str], list[str], np.ndarray]:
-    """User tokens, item tokens and counts of one chunk's kept lines, in line order.
+def _screen(text: str, delimiter: str) -> tuple[int, list[str], list[str], np.ndarray] | None:
+    """Line count, tokens and counts of a chunk of "\\n"-ended lines read in one pass, or None.
 
-    When every line is blank or holds the chunk's largest number of
-    delimiters (at least two), the lines that are not blank are screened all
-    at once by :func:`_split_regular`. Any other chunk, and any chunk the
-    screen rejects (an empty token, a bad count), goes through
-    :func:`_parse_line` line by line, so its skips and its ParseError are
-    exactly those of the per-line rule.
+    One numpy pass over the text's UTF-8 bytes finds the "\\n" and delimiter
+    bytes, and from them each line's number of fields (its delimiters plus
+    one). When every line is blank or holds the chunk's largest number of
+    fields, at least three, the lines that are not blank are split at once by
+    :func:`_split_regular`. None when the text is not UTF-8, when a line that
+    is not blank holds fewer fields, or when a line is not valid.
     """
-    n_delims = np.fromiter(map(str.count, lines, repeat(delimiter)), np.int64, len(lines))
-    width = int(n_delims.max()) + 1
-    regular = n_delims == width - 1
-    if width >= 3 and not any(lines[r].strip() for r in np.flatnonzero(~regular).tolist()):
-        screened = _split_regular(lines if regular.all() else list(compress(lines, regular)), width, delimiter)
+    try:
+        raw = np.frombuffer(text.encode("utf-8"), np.uint8)  # "\n" and an ASCII delimiter are one byte each
+    except UnicodeEncodeError:  # lone surrogates, which stand for bytes that were not UTF-8
+        return None
+    marks = raw[np.flatnonzero((raw == 10) | (raw == ord(delimiter)))]
+    ends = np.flatnonzero(marks == 10)  # each line's "\n" among the marks, in line order
+    if not text.endswith("\n"):
+        ends = np.append(ends, len(marks))
+    widths = np.diff(ends, prepend=-1)
+    width = int(widths.max())
+    regular = widths == width
+    if width < 3:
+        return None
+    if not regular.all():
+        lines = io.StringIO(text).readlines()
+        if any(map(str.strip, compress(lines, (~regular).tolist()))):
+            return None
+        text = "".join(compress(lines, regular.tolist()))
+    screened = _split_regular(text, int(regular.sum()), width, delimiter)
+    return None if screened is None else (len(widths), *screened)
+
+
+def _parse_chunk(
+    text: str, first_line_no: int, delimiter: str, newline: str
+) -> tuple[int, list[str], list[str], np.ndarray]:
+    """Line count, and user tokens, item tokens and counts of the kept lines, of one chunk of text.
+
+    ``newline`` is the stream's line rule as ``io.StringIO`` takes it: "\\n"
+    ends lines at "\\n" alone, "" at a lone "\\r" too. Under the first, with a
+    delimiter of one ASCII character, :func:`_screen` reads the chunk in one
+    pass when it can. Any other chunk, and any chunk the screen rejects (an
+    empty token, a bad count), goes through :func:`_parse_line` line by line,
+    so its skips and its ParseError are exactly those of the per-line rule.
+    """
+    if newline == "\n" and len(delimiter) == 1 and delimiter.isascii():
+        screened = _screen(text, delimiter)
         if screened is not None:
             return screened
+    lines = io.StringIO(text, newline=newline).readlines()
     kept = [row for r, line in enumerate(lines) if (row := _parse_line(line, first_line_no + r, delimiter))]
     users, items, counts = zip(*kept) if kept else ((), (), ())
-    return list(users), list(items), np.array(counts, dtype=np.float64)
+    return len(lines), list(users), list(items), np.array(counts, dtype=np.float64)
+
+
+def _ends_lines_at_cr(text: str, source: TextIO) -> bool:
+    """Whether ``source`` ends a line at a lone "\\r" of ``text``.
+
+    Only a universal-newline stream that keeps line ends as read
+    (``newline=""``) leaves a lone "\\r" in its text as a line end, and it
+    records that "\\r" in ``newlines``. ``io.StringIO`` by default keeps the
+    "\\r" inside the line, and ``open`` by default reads it as "\\n".
+    """
+    seen = getattr(source, "newlines", None)
+    lone_cr_seen = "\r" in (seen if isinstance(seen, tuple) else (seen,))
+    return lone_cr_seen and text.count("\r") > text.count("\r\n")
 
 
 class _TokenCodes(dict):
@@ -437,16 +476,20 @@ def parse_triplets(source: TextIO, delimiter: str = ",", has_header: bool = Fals
     Duplicate (user, item) pairs are preserved here and merged later by
     :func:`build_interactions`.
 
-    The stream is read with ``readlines(CHUNK_BYTES)``, one chunk of lines
-    at a time, and each chunk becomes code and count arrays, so memory per
-    input line is a few array entries rather than a Python object; each
-    token column is coded in one dict pass. A chunk whose lines are all
-    blank or hold the same number of fields is split in one pass (its tokens
+    The stream is read one block of text at a time, ``read(CHUNK_BYTES)``
+    and the rest of its last line (the lines ``readlines(CHUNK_BYTES)``
+    would return), and each block becomes code and count arrays, so memory
+    per input line is a few array entries rather than a Python object; each
+    token column is coded in one dict pass. One numpy pass over a block's
+    bytes counts the fields of each line. A block whose lines are all blank
+    or hold the same number of fields is split in one pass (its tokens
     stripped only if it holds non-ASCII text or whitespace besides newlines
-    and the delimiter); a chunk that mixes field counts is read line by line,
-    about 2x slower, with the same result. Lines should end in ``"\\n"``, as
-    they do from a file opened with the default newline handling or from
-    ``io.StringIO``; a chunk with other line ends is read line by line.
+    and the delimiter); a block that mixes field counts is read line by
+    line, about 4.5x slower, with the same result, and so is every block when
+    the delimiter is not one ASCII character. Lines end at ``"\\n"``, as in a
+    stream opened with ``newline`` None (``open``'s default), ``"\\n"``
+    (``io.StringIO``'s) or ``""``; a block in which a ``newline=""`` stream
+    ends a line at a lone ``"\\r"`` is read line by line, by that rule.
 
     Raises
     ------
@@ -461,12 +504,13 @@ def parse_triplets(source: TextIO, delimiter: str = ",", has_header: bool = Fals
     if has_header:
         source.readline()
     line_no = 2 if has_header else 1
-    while lines := source.readlines(CHUNK_BYTES):
-        chunk_users, chunk_items, chunk_counts = _parse_chunk(lines, line_no, delimiter)
+    while text := source.read(CHUNK_BYTES) + source.readline():
+        newline = "" if _ends_lines_at_cr(text, source) else "\n"
+        n_lines, chunk_users, chunk_items, chunk_counts = _parse_chunk(text, line_no, delimiter, newline)
         users.append(np.fromiter(map(user_index.__getitem__, chunk_users), np.int64, len(chunk_users)))
         items.append(np.fromiter(map(item_index.__getitem__, chunk_items), np.int64, len(chunk_items)))
         counts.append(chunk_counts)
-        line_no += len(lines)
+        line_no += n_lines
     return Triplets(tuple(user_index), tuple(item_index), *map(np.concatenate, (users, items, counts)))
 
 

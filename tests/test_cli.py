@@ -7,6 +7,10 @@ corrupted, truncated, or foreign files.
 
 import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +177,19 @@ def test_usage_error_exits_2(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["train"])  # missing required positionals
     assert excinfo.value.code == 2
+
+
+def test_python_m_poisfact_runs_the_cli_without_warning(tmp_path):
+    # `python -m poisfact.cli` warns that the package already imported
+    # poisfact.cli; the package's own __main__ must not, and exits with main's code
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "poisfact"]
+    shown = subprocess.run([*command, "--help"], env=env, capture_output=True, text=True)
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert shown.stdout.startswith("usage:")
+    missing = subprocess.run([*command, "split", str(tmp_path / "none.csv"), str(tmp_path / "out")], env=env,
+                             capture_output=True, text=True)
+    assert missing.returncode == 3 and "Warning" not in missing.stderr
 
 
 # ---------------------------------------------------------------- train

@@ -721,6 +721,11 @@ def test_columnar_reader_matches_per_line_rule(seed, tmp_path, monkeypatch):
     if has_header:
         text = f"user{d}item{d}count\n" + text
     check_both_paths(tmp_path, text, d, has_header)
+    # a stream that keeps line ends as read, against the rule on the same stream
+    assert_same_as_reference(
+        outcome(lambda: parse_triplets(io.StringIO(text, newline=""), d, has_header)),
+        outcome(lambda: reference_parse(io.StringIO(text, newline=""), d, has_header)),
+    )
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_LINES))
@@ -767,6 +772,20 @@ def test_chunks_of_one_field_count_skip_the_per_line_rule(tmp_path, monkeypatch)
         assert rows_of(read_triplet_file(str(path))) == expected
 
 
+def test_a_chunk_with_a_regular_delimiter_total_but_irregular_lines_is_read_line_by_line(monkeypatch):
+    # 8-character lines and 40-character chunks. A 2-field and a 4-field line
+    # hold two delimiters a line between them, and one split of their text
+    # would yield valid records ("a,b,1" and "c,d,2"); each line's own field
+    # count must send the chunk to the per-line rule and its error.
+    monkeypatch.setattr(sparse_data, "CHUNK_BYTES", 40)
+    rows = "".join(f"u{j},i{j},{1 + j % 3}\n" for j in range(10))
+    with pytest.raises(ParseError, match="^line 1: expected at least 3 fields, got 2$"):
+        parse_triplets(io.StringIO("a,b\n1,c,d,2\n" + rows))
+    # the second chunk opens with the 4-field line, then the 2-field one
+    with pytest.raises(ParseError, match="^line 8: expected at least 3 fields, got 2$"):
+        parse_triplets(io.StringIO(rows[:48] + "u1,i1,1,u2\ni2,3\n" + rows))
+
+
 def test_only_the_chunk_that_mixes_field_counts_is_read_line_by_line(monkeypatch):
     per_line, parse_chunk = sparse_data._parse_line, sparse_data._parse_chunk
     called, chunks = [], []
@@ -774,7 +793,7 @@ def test_only_the_chunk_that_mixes_field_counts_is_read_line_by_line(monkeypatch
         sparse_data, "_parse_line", lambda line, line_no, d: called.append(line_no) or per_line(line, line_no, d)
     )
     monkeypatch.setattr(
-        sparse_data, "_parse_chunk", lambda lines, *rest: chunks.append(len(lines)) or parse_chunk(lines, *rest)
+        sparse_data, "_parse_chunk", lambda text, *rest: chunks.append(text.count("\n")) or parse_chunk(text, *rest)
     )
     # lines of ten characters with the newline and 90-character chunks: three
     # chunks of ten lines, and only the middle one has a line with a fourth field
@@ -860,7 +879,7 @@ def test_tokens_keep_first_appearance_codes_across_chunks(tmp_path, monkeypatch)
     # "a", "b", "x" and "y" of the first chunk keep theirs in every later one.
     parse_chunk, chunks = sparse_data._parse_chunk, []
     monkeypatch.setattr(
-        sparse_data, "_parse_chunk", lambda lines, *rest: chunks.append(len(lines)) or parse_chunk(lines, *rest)
+        sparse_data, "_parse_chunk", lambda text, *rest: chunks.append(text.count("\n")) or parse_chunk(text, *rest)
     )
     monkeypatch.setattr(sparse_data, "CHUNK_BYTES", 25)
     users = "ababa" "babab" "cacba"
