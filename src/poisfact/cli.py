@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import struct
 import sys
 import tempfile
@@ -51,10 +50,10 @@ _DELIMITERS = {"csv": ",", "tsv": "\t"}
 class ModelMeta:
     """Provenance stored in the model header."""
 
-    reg: str = "l2"
-    lam: float = 0.0
-    solver: str = PROXGRAD
-    seed: int = 42
+    reg: str
+    lam: float
+    solver: str
+    seed: int
 
 
 @dataclass
@@ -194,16 +193,13 @@ def cmd_split(args) -> int:
     # all four outputs are written into a staging directory and moved over
     # the targets only once every write has succeeded
     names = (f"train.{args.format}", f"test.{args.format}", "users.map", "items.map")
-    staging = tempfile.mkdtemp(prefix=".split-", dir=args.outdir)
-    try:
+    with tempfile.TemporaryDirectory(prefix=".split-", dir=args.outdir, ignore_cleanup_errors=True) as staging:
         staged = [os.path.join(staging, name) for name in names]
         write_triplet_file(staged[0], train_entries, id_map, delimiter)
         write_triplet_file(staged[1], pair.test, id_map, delimiter)
         train_map.save(staged[2], staged[3])
         for path, name in zip(staged, names):
             os.replace(path, os.path.join(args.outdir, name))
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
     print(
         f"split {data.nnz} entries of {data.m} users x {data.n} items into "
         f"{pair.train.nnz} train and {len(pair.test[2])} test entries"
@@ -213,22 +209,17 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     data, _ = _load_train_data(args)
-    if args.solver == PROXGRAD:
-        lam = 1e9 if args.lam is None else args.lam
-        iters = 10 if args.iters is None else args.iters
-        solver = SolverChoice(method=PROXGRAD, tau=1 if args.tau is None else args.tau)
-    else:
-        # CG line-searches its own steps and tolerates no regularization;
-        # --tau caps its updates per vector.
-        lam = 0.0 if args.lam is None else args.lam
-        iters = 30 if args.iters is None else args.iters
-        solver = SolverChoice(method=CONJGRAD, max_updates=5 if args.tau is None else args.tau)
+    # CG line-searches its own steps and tolerates no regularization; --tau
+    # caps its updates per vector. Any other unset flag takes the configs' default.
+    cg = args.solver == CONJGRAD
+    lam, iters = (0.0, 30) if cg else (TrainConfig.lam, TrainConfig.iters)
+    updates = {} if args.tau is None else {"max_updates" if cg else "tau": args.tau}
     config = TrainConfig(
         k=args.factors,
         alpha=args.alpha,
-        lam=lam,
-        iters=iters,
-        solver=solver,
+        lam=lam if args.lam is None else args.lam,
+        iters=iters if args.iters is None else args.iters,
+        solver=SolverChoice(method=args.solver, **updates),
         reg=args.reg,
         seed=args.seed,
     )
@@ -236,10 +227,11 @@ def cmd_train(args) -> int:
     progress = None
     if not args.quiet:
         def progress(iteration, objective, seconds):
-            print(f"iteration {iteration + 1}/{iters} objective {objective:.6e} ({seconds:.2f}s)")
+            print(f"iteration {iteration + 1}/{config.iters} objective {objective:.6e} ({seconds:.2f}s)")
 
     model, report = train(data, config, progress)
-    save_model(args.model, model, ModelMeta(reg=args.reg, lam=lam, solver=args.solver, seed=args.seed))
+    meta = ModelMeta(reg=config.reg, lam=config.lam, solver=config.solver.method, seed=config.seed)
+    save_model(args.model, model, meta)
     if args.export_text:
         export_model_text(args.export_text, model)
     if report.zero_rows_a or report.zero_rows_b:
@@ -331,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, default=None,
                    help="updates per vector per iteration (default 1 for proxgrad, 5 for cg)")
     p.add_argument("--solver", choices=_SOLVER_TAGS, default=PROXGRAD)
-    p.add_argument("--reg", choices=_REG_TAGS, default="l2")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--reg", choices=_REG_TAGS, default=TrainConfig.reg)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility and ignored: both solvers update whole matrices")
     p.add_argument("--export-text", metavar="PATH", help="also dump factors as text")
@@ -346,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test", help="held-out triplet file")
     p.add_argument("--cutoff", type=int, default=EvalConfig.cutoff, help="precision cutoff")
     p.add_argument("--sample-users", type=int, default=EvalConfig.sample_users)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=EvalConfig.seed)
     p.add_argument("--report-json", metavar="PATH", help="also write the report as JSON")
     _add_format_flags(p)
     p.set_defaults(func=cmd_evaluate)

@@ -50,4 +50,4 @@ class DataMismatchError(PoisfactError):
 
 
 class EvaluationError(DataMismatchError):
-    """Evaluation impossible on the supplied data (no evaluable users, zero variance)."""
+    """Evaluation impossible: no test entries or evaluable users, or a model that does not fit the data."""

@@ -55,8 +55,8 @@ class EvalConfig:
 class EvalReport:
     """Evaluation outcome; user counts satisfy evaluated + skipped = sampled.
 
-    ``pearson_rho`` is NaN when the predictions or the held-out counts do not
-    vary (binary data has every count 1). The text form prints a NaN metric
+    ``pearson_rho`` is NaN for fewer than two held-out entries or constant
+    predictions or counts (binary data). The text form prints a NaN metric
     as ``nan``; the record holds None for any non-finite one (strict JSON).
     """
 
@@ -171,13 +171,17 @@ def auc_user(scores: np.ndarray, positive: np.ndarray) -> float:
 
 
 def pearson_rho(predicted: np.ndarray, actual: np.ndarray) -> float:
-    """Pearson correlation between pooled predictions and held-out counts."""
+    """Pearson correlation between pooled predictions and held-out counts.
+
+    NaN when fewer than two entries are given or either list does not vary;
+    lists of different lengths raise ValueError.
+    """
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
-    if predicted.shape != actual.shape or predicted.size < 2:
-        raise ValueError("correlation needs two equally long lists of length >= 2")
-    if np.std(predicted) == 0.0 or np.std(actual) == 0.0:
-        raise EvaluationError("correlation undefined: zero variance in predictions or counts")
+    if predicted.shape != actual.shape:
+        raise ValueError(f"correlation needs two equally long lists, got {predicted.size} and {actual.size}")
+    if predicted.size < 2 or np.std(predicted) == 0.0 or np.std(actual) == 0.0:
+        return math.nan
     return float(np.corrcoef(predicted, actual)[0, 1])
 
 
@@ -260,7 +264,7 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
     skipped and counted. A sampled user's scores are its row of its block's
     matrix product, which can differ from :func:`score_user` in the last
     bits. Correlation and log-likelihood always use the whole test set; the
-    correlation is NaN when predictions or counts do not vary.
+    correlation is NaN where :func:`pearson_rho` finds it undefined.
     A held-out entry whose user or item lies outside the model raises
     EvaluationError before any scoring.
     """
@@ -272,10 +276,7 @@ def evaluate(model: FactorModel, split: SplitPair, config: EvalConfig = EvalConf
     users, items, counts, predictions = _heldout(model, split.test)
     if not len(counts):
         raise EvaluationError("no test entries to evaluate")
-    try:
-        rho = pearson_rho(predictions, counts)
-    except EvaluationError:  # zero variance: undefined, but p@k and AUC are not
-        rho = math.nan
+    rho = pearson_rho(predictions, counts)
     loglik = _loglik(counts, predictions)
 
     # held-out items of each user: a row of the user-sorted entries

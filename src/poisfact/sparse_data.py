@@ -489,7 +489,9 @@ def parse_triplets(source: TextIO, delimiter: str = ",", has_header: bool = Fals
     the delimiter is not one ASCII character. Lines end at ``"\\n"``, as in a
     stream opened with ``newline`` None (``open``'s default), ``"\\n"``
     (``io.StringIO``'s) or ``""``; a block in which a ``newline=""`` stream
-    ends a line at a lone ``"\\r"`` is read line by line, by that rule.
+    ends a line at a lone ``"\\r"`` is read line by line, by that rule. Other
+    kinds are not supported: with ``newline="\\r"``, ``"a,b,1,x\\rc,d,2,y\\r"``
+    silently gives one row, its second line read as extra fields.
 
     Raises
     ------

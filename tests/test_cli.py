@@ -371,6 +371,24 @@ def test_evaluate_json_report_of_a_nan_model_is_strict_json(workspace, capsys):
     assert record["users_evaluated"] > 0
 
 
+def test_evaluate_one_heldout_entry_reports_a_null_correlation(workspace, capsys):
+    # a one-line test file: the correlation is undefined, the other metrics are not
+    model_path = workspace / "model.bin"
+    json_path = workspace / "report.json"
+    one = workspace / "one.csv"
+    one.write_text((workspace / "out" / "test.csv").read_text().splitlines(keepends=True)[0])
+    assert main(train_args(workspace / "out" / "train.csv", model_path)) == 0
+    assert main([
+        "evaluate", str(model_path), str(workspace / "out" / "train.csv"), str(one),
+        "--report-json", str(json_path),
+    ]) == 0
+    assert "pearson_rho nan\n" in capsys.readouterr().out
+    record = json.loads(json_path.read_text(), parse_constant=refuse_constant)
+    assert record["pearson_rho"] is None
+    assert (record["users_evaluated"], record["users_skipped"]) == (1, 0)
+    assert 0.0 <= record["p_at_k"] <= 1.0 and 0.0 <= record["auc"] <= 1.0
+
+
 def test_evaluate_report_json_failing_partway_keeps_the_previous_file(workspace, capsys, monkeypatch):
     model_path = workspace / "model.bin"
     json_path = workspace / "report.json"

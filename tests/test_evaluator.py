@@ -345,11 +345,12 @@ def test_pearson_random_matches_two_pass():
 
 
 def test_pearson_degenerate_inputs():
-    with pytest.raises(EvaluationError, match="zero variance"):
-        pearson_rho(np.ones(4), np.array([1.0, 2.0, 3.0, 4.0]))
-    with pytest.raises(ValueError):
-        pearson_rho(np.array([1.0]), np.array([2.0]))
-    with pytest.raises(ValueError):
+    # undefined correlations are NaN: a constant list, fewer than two entries
+    assert math.isnan(pearson_rho(np.ones(4), np.array([1.0, 2.0, 3.0, 4.0])))
+    assert math.isnan(pearson_rho(np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4)))
+    assert math.isnan(pearson_rho(np.array([1.0]), np.array([2.0])))
+    assert math.isnan(pearson_rho(np.array([]), np.array([])))
+    with pytest.raises(ValueError, match="equally long"):
         pearson_rho(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
 
@@ -544,10 +545,7 @@ def protocol_oracle(model, split, config):
         auc_sum += auc_user(scores[eligible], is_pos)
         evaluated += 1
     _, _, counts, predictions = _heldout(model, split.test)
-    try:
-        rho = pearson_rho(predictions, counts)
-    except EvaluationError:
-        rho = math.nan
+    rho = pearson_rho(predictions, counts)
     loglik = heldout_loglik(model, split.test)
     return EvalReport(p_sum / evaluated, auc_sum / evaluated, rho, loglik, evaluated, skipped)
 
@@ -763,9 +761,20 @@ def test_evaluate_binary_counts_reports_nan_correlation():
     assert np.isfinite(report.test_loglik)
     assert "pearson_rho nan\n" in report.to_text()
     assert report.to_record()["pearson_rho"] is None
-    # the metric function itself still refuses
-    with pytest.raises(EvaluationError, match="zero variance"):
-        pearson_rho(np.array([0.3, 0.7]), np.ones(2))
+    # the metric function itself gives the same NaN
+    assert math.isnan(pearson_rho(np.array([0.3, 0.7]), np.ones(2)))
+
+
+def test_evaluate_one_heldout_entry_reports_nan_correlation():
+    # one held-out entry: the correlation is undefined, precision and AUC are not
+    split = SplitPair(train=toy_split().train, test=[(0, 3, 2.0)])
+    report = evaluate(toy_model(), split, EvalConfig(cutoff=2, sample_users=100, seed=0))
+    assert math.isnan(report.pearson_rho)
+    assert (report.users_evaluated, report.users_skipped) == (1, 0)
+    # user 0: scores [1,2,3,4], train {0}; top-2 eligible = items 3,2 with positive {3}
+    assert report.p_at_k == 0.5 and report.auc == 1.0
+    assert report.test_loglik == pytest.approx(-4.0 + 2.0 * math.log(4.0), rel=1e-15)
+    assert report.to_record()["pearson_rho"] is None
 
 
 def test_report_text_and_record():

@@ -669,12 +669,15 @@ def random_line(rng, d):
     return d.join(fields)
 
 
-def random_text(rng, n_lines, d, bad=None, bad_at=None):
-    """Random triplet text; ``bad`` is a BAD_LINES key placed at line index ``bad_at``."""
+def random_text(rng, n_lines, d, bad=None, bad_at=None, endings=("\n", "\r\n")):
+    """Random triplet text, each line ended by one of ``endings``.
+
+    ``bad`` is a BAD_LINES key placed at line index ``bad_at``.
+    """
     lines = [random_line(rng, d) for _ in range(n_lines)]
     if bad is not None:
         lines[bad_at] = BAD_LINES[bad][0].format(d=d)
-    endings = rng.choice(["\n", "\r\n"], size=n_lines)
+    endings = rng.choice(list(endings), size=n_lines)
     text = "".join(line + end for line, end in zip(lines, endings))
     return text.rstrip("\r\n") if rng.random() < 0.5 else text
 
@@ -721,7 +724,10 @@ def test_columnar_reader_matches_per_line_rule(seed, tmp_path, monkeypatch):
     if has_header:
         text = f"user{d}item{d}count\n" + text
     check_both_paths(tmp_path, text, d, has_header)
-    # a stream that keeps line ends as read, against the rule on the same stream
+    # a stream that keeps line ends as read, lone "\r" ends too, against the rule on the same stream
+    text = random_text(rng, n_lines, d, endings=("\n", "\r\n", "\r"))
+    if has_header:
+        text = f"user{d}item{d}count\n" + text
     assert_same_as_reference(
         outcome(lambda: parse_triplets(io.StringIO(text, newline=""), d, has_header)),
         outcome(lambda: reference_parse(io.StringIO(text, newline=""), d, has_header)),
