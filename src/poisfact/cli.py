@@ -35,7 +35,7 @@ from .sparse_data import (
     split_train_test,
     write_triplet_file,
 )
-from .trainer import FactorModel, TrainConfig, train
+from .trainer import SOLVER_DEFAULTS, FactorModel, TrainConfig, train
 from .vector_solvers import CONJGRAD, PROXGRAD, SolverChoice
 
 MAGIC = b"PFMF"
@@ -184,7 +184,8 @@ def cmd_split(args) -> int:
     delimiter = _DELIMITERS[args.format]
     triplets = read_triplet_file(args.input, delimiter, args.header)
     data, id_map = build_interactions(triplets)
-    pair = split_train_test(data, args.test_fraction, args.min_test_entries, args.seed)
+    given = {name: getattr(args, name) for name in ("test_fraction", "min_test_entries", "seed")}
+    pair = split_train_test(data, **{name: value for name, value in given.items() if value is not None})
     train_entries = pair.train.entries()
     # the maps number ids as `train` does on train.csv: by first appearance there
     users, items = (dict.fromkeys(column.tolist()) for column in train_entries[:2])
@@ -209,16 +210,13 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     data, _ = _load_train_data(args)
-    # CG line-searches its own steps and tolerates no regularization; --tau
-    # caps its updates per vector. Any other unset flag takes the configs' default.
-    cg = args.solver == CONJGRAD
-    lam, iters = (0.0, 30) if cg else (TrainConfig.lam, TrainConfig.iters)
-    updates = {} if args.tau is None else {"max_updates" if cg else "tau": args.tau}
+    # --tau caps CG's updates per vector
+    updates = {} if args.tau is None else {"max_updates" if args.solver == CONJGRAD else "tau": args.tau}
     config = TrainConfig(
         k=args.factors,
         alpha=args.alpha,
-        lam=lam if args.lam is None else args.lam,
-        iters=iters if args.iters is None else args.iters,
+        lam=args.lam,
+        iters=args.iters,
         solver=SolverChoice(method=args.solver, **updates),
         reg=args.reg,
         seed=args.seed,
@@ -305,23 +303,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="hold out a random fraction of entries as a test set")
     p.add_argument("input", help="triplet file: user, item, count")
     p.add_argument("outdir", help="directory for train/test files and id maps")
-    p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--min-test-entries", type=int, default=3)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--test-fraction", type=float)
+    p.add_argument("--min-test-entries", type=int)
+    p.add_argument("--seed", type=int)
     _add_format_flags(p)
     p.set_defaults(func=cmd_split)
 
+    # each solver's defaults of --lambda, --iters and --tau (proxgrad's tau, cg's max_updates)
+    lam_note, iters_note, tau_note = (
+        ", ".join(f"{value:g} for {solver}" for solver, value in zip(SOLVER_DEFAULTS, column))
+        for column in (*zip(*SOLVER_DEFAULTS.values()), (SolverChoice.tau, SolverChoice.max_updates)))
     p = sub.add_parser("train", help="fit factor matrices to a training file")
     p.add_argument("train", help="training triplet file")
     p.add_argument("model", help="output model path")
     p.add_argument("--factors", type=int, default=TrainConfig.k, help="rank k")
     p.add_argument("--alpha", type=float, default=TrainConfig.alpha, help="initial step size (proxgrad)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="regularization strength (default 1e9 for proxgrad, 0 for cg)")
-    p.add_argument("--iters", type=int, default=None,
-                   help="outer iterations (default 10 for proxgrad, 30 for cg)")
-    p.add_argument("--tau", type=int, default=None,
-                   help="updates per vector per iteration (default 1 for proxgrad, 5 for cg)")
+    p.add_argument("--lambda", dest="lam", type=float, help=f"regularization strength (default {lam_note})")
+    p.add_argument("--iters", type=int, help=f"outer iterations (default {iters_note})")
+    p.add_argument("--tau", type=int, help=f"updates per vector per iteration (default {tau_note})")
     p.add_argument("--solver", choices=_SOLVER_TAGS, default=PROXGRAD)
     p.add_argument("--reg", choices=_REG_TAGS, default=TrainConfig.reg)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)

@@ -54,7 +54,7 @@ class RegularizationSpec:
         if self.kind not in ("l2", "l1"):
             raise ConfigError(f"regularization kind must be 'l2' or 'l1', got {self.kind!r}")
         if not 0.0 <= self.lam < float("inf"):
-            raise ConfigError(f"regularization strength must be finite and >= 0, got {self.lam}")
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
 
 
 @dataclass(frozen=True)

@@ -26,38 +26,45 @@ import numpy as np
 from .errors import ConfigError, DataError, DegenerateModelError, NumericFailureError
 from .poisson_core import ClampStats, RegularizationSpec, full_objective
 from .sparse_data import SparseInteractions
-from .vector_solvers import PROXGRAD, SolverChoice, conj_grad_matrix, prox_grad_matrix
+from .vector_solvers import CONJGRAD, PROXGRAD, SolverChoice, conj_grad_matrix, prox_grad_matrix
 
 _log = logging.getLogger(__name__)
 
 ProgressHook = Callable[[int, float, float], None]
+
+# each solver's (lam, iters) for a TrainConfig that leaves them unset
+SOLVER_DEFAULTS = {PROXGRAD: (1e9, 10), CONJGRAD: (0.0, 30)}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one training run.
 
-    Defaults suit the proximal-gradient solver on large sparse data: heavy l2
-    regularization with a tiny initial step that halves every iteration. The
-    conjugate-gradient solver ignores ``alpha`` (it line-searches) and is
-    typically run with little or no regularization and more iterations.
+    ``lam`` and ``iters`` left as None take the solver's entry in
+    ``SOLVER_DEFAULTS``: heavy regularization for proximal gradient, whose
+    tiny initial step ``alpha`` halves every iteration, and none, over more
+    iterations, for conjugate gradient, which ignores ``alpha`` (it
+    line-searches). Once built, a config holds numbers in both, so
+    ``dataclasses.replace(config, solver=...)`` keeps the values already
+    resolved.
     """
 
     k: int = 40
     alpha: float = 1e-7
-    lam: float = 1e9
-    iters: int = 10
+    lam: float | None = None
+    iters: int | None = None
     solver: SolverChoice = field(default_factory=SolverChoice)
     reg: str = "l2"
     seed: int = 42
 
     def __post_init__(self):
+        lam, iters = SOLVER_DEFAULTS[self.solver.method]
+        object.__setattr__(self, "lam", lam if self.lam is None else self.lam)
+        object.__setattr__(self, "iters", iters if self.iters is None else self.iters)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if not 0 < self.alpha < float("inf"):
             raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
-        if not 0 <= self.lam < float("inf"):
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
         if not 0 <= self.seed < 2**63:

@@ -42,7 +42,10 @@ class SolverChoice:
     """Which solver to run and its knobs.
 
     ``tau`` is the number of proximal-gradient updates applied to each row
-    per outer iteration; ``max_updates`` bounds CG iterations per row.
+    per outer iteration; ``max_updates`` bounds CG iterations per row. A
+    ``TrainConfig`` that leaves ``lam`` or ``iters`` unset takes the method's
+    entry in ``trainer.SOLVER_DEFAULTS`` when it is built; replacing its
+    solver later keeps the values it resolved.
     """
 
     method: str = PROXGRAD

@@ -34,7 +34,9 @@ from poisfact import (
     read_triplet_file,
     recommend_for_user,
     save_model,
+    split_train_test,
     train,
+    write_triplet_file,
 )
 
 
@@ -87,6 +89,16 @@ def test_split_outputs_are_reproducible(tmp_path, capsys):
     # a different seed must move at least one entry
     assert main(["split", str(corpus), str(tmp_path / "c"), "--seed", "6"]) == 0
     assert (tmp_path / "a" / "test.csv").read_bytes() != (tmp_path / "c" / "test.csv").read_bytes()
+
+
+def test_split_flags_left_out_take_the_library_defaults(tmp_path):
+    corpus = write_corpus(tmp_path / "all.csv")
+    data, id_map = build_interactions(read_triplet_file(str(corpus)))
+    cases = (([], {}), (["--seed", "7"], {"seed": 7}), (["--test-fraction", "0.3"], {"test_fraction": 0.3}))
+    for flags, options in cases:
+        assert main(["split", str(corpus), str(tmp_path / "out"), *flags]) == 0
+        write_triplet_file(str(tmp_path / "library.csv"), split_train_test(data, **options).test, id_map)
+        assert (tmp_path / "out" / "test.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
 def test_split_prints_the_entry_counts_it_wrote(tmp_path, capsys):
@@ -229,6 +241,13 @@ def test_train_cg_defaults(workspace, capsys):
     assert "iteration 1/30 objective" in out  # cg default iteration count
     _, meta = load_model(str(model_path))
     assert meta.solver == "cg" and meta.lam == 0.0
+    # the library's CG defaults train the same model
+    data, _ = build_interactions(read_triplet_file(str(workspace / "out" / "train.csv")))
+    config = TrainConfig(k=2, solver=SolverChoice(method="cg"), seed=3)
+    model, _ = train(data, config)
+    library_path = workspace / "library.bin"
+    save_model(str(library_path), model, ModelMeta(reg=config.reg, lam=config.lam, solver="cg", seed=3))
+    assert library_path.read_bytes() == model_path.read_bytes()
 
 
 def test_train_export_text(workspace):

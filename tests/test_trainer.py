@@ -8,6 +8,8 @@ halved-step schedule. CG training is also held against a manual loop over
 the row-at-a-time reference CG of the solver tests.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -467,3 +469,22 @@ def test_train_config_validation():
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+
+def test_train_config_takes_unset_lambda_and_iters_from_its_solver():
+    cg = SolverChoice(method="cg")
+
+    def resolved(**kwargs):
+        config = TrainConfig(**kwargs)
+        return config.lam, config.iters
+
+    assert resolved() == (1e9, 10)
+    assert resolved(solver=cg) == (0.0, 30)
+    # explicit values win for either solver
+    assert resolved(lam=0.0) == (0.0, 10)
+    assert resolved(iters=3) == (1e9, 3)
+    assert resolved(solver=cg, iters=1) == (0.0, 1)
+    assert resolved(solver=cg, lam=2.5) == (2.5, 30)
+    # a replaced solver keeps the values already resolved
+    swapped = replace(TrainConfig(), solver=cg)
+    assert (swapped.lam, swapped.iters) == (1e9, 10)
