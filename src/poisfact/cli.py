@@ -170,7 +170,7 @@ def recommend_for_user(
     top = top_n_unseen(scores, data.row(u)[0], top_n)
     return RecommendationList(
         user=user_token,
-        items=[(id_map.item_token(int(i)), float(scores[i])) for i in top],
+        items=list(zip(map(id_map.item_token, top.tolist()), scores[top].tolist())),
     )
 
 

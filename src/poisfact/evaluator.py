@@ -90,33 +90,61 @@ def top_n_unseen(scores: np.ndarray, seen: np.ndarray, n: int) -> np.ndarray:
 
     Exactly the order of a stable sort of the eligible items on their negated
     scores (compared as float64): ties by ascending item index, NaN last, and
-    all eligible items when fewer than n. ``seen``, item indices or a boolean
-    mask, is not checked. An n below 1 raises ValueError. Recommend,
-    ``evaluate`` and ``precision_at_k`` all rank through here.
+    all eligible items when fewer than n. ``seen``, item indices in
+    [0, len(scores)) or a boolean mask, is not checked. An n below 1 raises
+    ValueError. Recommend, ``evaluate`` and ``precision_at_k`` all rank
+    through here.
 
     No sort of the catalogue: an all-tied score vector (an all-zero user row)
-    gives the first n eligible items. Otherwise seen items get a NaN key, and
-    v, the n-th smallest key (``np.partition``), keeps the fewer than n items
-    above it plus those tied at it; only they are sorted. A NaN v (fewer than
-    n eligible numbers) falls back to sorting every eligible item.
+    gives the first n eligible items, found in a prefix of n items plus the
+    history. Otherwise seen items get a NaN key, and v, the n-th smallest key,
+    keeps the fewer than n items below it plus those tied at it; only they
+    are sorted. v is bounded from above on a sample, every s-th key with
+    s = len(scores) // (64 n): the sample's n smallest keys are catalogue
+    keys, so its n-th smallest v' is at least v, and the items with a key at
+    most v' hold every item ranked by v (plus about n s more), in index
+    order, which the stable sort keeps. The whole key is partitioned
+    (``np.partition``) when s < 2, when v' is NaN (fewer than n eligible
+    numbers in the sample) or when more than 4 n s keys reach v' (heavy ties,
+    or an order whose sampled items score low). A NaN v (fewer than n
+    eligible numbers) falls back to sorting every eligible item.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    # all tied when min == max, which a NaN makes false; the two end scores
+    # settle it for almost every untied vector without a pass over it
+    if len(scores) and scores[0] == scores[-1] and scores.min() == scores.max():
+        # the first n eligible items lie among the first n plus the number seen
+        if seen.dtype == bool:
+            return (~seen[: n + np.count_nonzero(seen)]).nonzero()[0][:n]
+        taken = np.zeros(min(len(scores), n + len(seen)) + 1, dtype=bool)
+        taken.put(seen, True, mode="clip")  # a seen item past that prefix lands on the spare last slot
+        return (~taken[:-1]).nonzero()[0][:n]
     key = np.negative(scores, dtype=np.float64)
-    all_tied = len(key) > 0 and key.min() == key.max()  # a NaN makes this false
-    if n < len(key) and not all_tied:
-        key[seen] = np.nan
-        v = np.partition(key, n - 1)[n - 1]
-        if not np.isnan(v):
-            short = np.flatnonzero(key <= v)
-            return short[np.argsort(key[short], kind="stable")[:n]]
+    key[seen] = np.nan
+    short = _at_or_below_cutoff(key, n) if n < len(key) else None
+    if short is not None:
+        return short[np.argsort(key[short], kind="stable")[:n]]
     eligible = np.ones(len(key), dtype=bool)
     eligible[seen] = False
     candidates = eligible.nonzero()[0]
-    if all_tied:
-        return candidates[:n]
     # stable sort on negated scores: equal scores keep ascending item order
     return candidates[np.argsort(key[candidates], kind="stable")[:n]]
+
+
+def _at_or_below_cutoff(key: np.ndarray, n: int) -> np.ndarray | None:
+    """Ascending indices of a short list of keys holding the n smallest; None when fewer than n are numbers.
+
+    See :func:`top_n_unseen` for the sampled cutoff and when the whole key is partitioned.
+    """
+    stride = len(key) // (64 * n)
+    if stride > 1:
+        v = np.partition(key[::stride], n - 1)[n - 1]
+        within = key <= v
+        if not np.isnan(v) and np.count_nonzero(within) <= 4 * n * stride:
+            return within.nonzero()[0]
+    v = np.partition(key, n - 1)[n - 1]
+    return None if np.isnan(v) else (key <= v).nonzero()[0]
 
 
 def precision_at_k(

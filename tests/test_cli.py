@@ -34,10 +34,12 @@ from poisfact import (
     read_triplet_file,
     recommend_for_user,
     save_model,
+    score_user,
     split_train_test,
     train,
     write_triplet_file,
 )
+from poisfact.evaluator import top_n_unseen
 
 
 def write_corpus(path, seed=0, m=30, n=20, density=0.4):
@@ -636,6 +638,30 @@ def test_recommend_for_user_all_zero_row_returns_first_unseen_items():
     unseen = [i for i in range(n) if i not in history]
     recs = recommend_for_user(model, data, id_map, "u1", 50)
     assert recs.items == [(f"i{i}", 0.0) for i in unseen]
+
+
+@pytest.mark.parametrize("row", ["all-zero", "nan", "untied"])
+def test_recommend_for_user_lists_the_ranked_tokens_and_scores(row):
+    # 2,000 items, so top_n_unseen bounds its cutoff on a sample at top_n = 5;
+    # a NaN item factor scores NaN for every user
+    rng = np.random.default_rng(84)
+    m, n = 3, 2_000
+    A, B = rng.gamma(1.0, size=(m, 3)), rng.gamma(1.0, size=(n, 3))
+    if row == "all-zero":
+        A[1] = 0.0
+    elif row == "nan":
+        B[rng.choice(n, 50, replace=False), 0] = np.nan
+    model = FactorModel(A, B, 3)
+    history = rng.choice(n, 40, replace=False)
+    data = SparseInteractions.from_entries(np.ones(40, dtype=int), history, np.ones(40), m, n)
+    id_map = IdMap([f"u{u}" for u in range(m)], [f"i{i}" for i in range(n)])
+    scores = score_user(model, 1)
+    for top_n in (1, 5, 10):
+        top = top_n_unseen(scores, data.row(1)[0], top_n)
+        want = [(id_map.item_token(i), float(scores[i])) for i in top]
+        got = recommend_for_user(model, data, id_map, "u1", top_n).items
+        assert [(token, score.hex()) for token, score in got] == [(token, score.hex()) for token, score in want]
+        assert [tuple(map(type, pair)) for pair in got] == [(str, float)] * top_n
 
 
 def test_recommend_negative_top_n_exits_2(workspace, capsys):

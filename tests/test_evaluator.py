@@ -226,6 +226,95 @@ def test_precision_matches_stable_argsort_exactly():
         assert top.tolist() == argsort_top_n_oracle(scores, train_items, k).tolist()
 
 
+def catalogue_scores(kind, size, n, rng):
+    """A score vector of ``size`` items of one shape; "periodic" scores every s-th item lowest."""
+    nan, inf = math.nan, math.inf
+    if kind == "random":
+        return rng.random(size)
+    if kind == "ascending":
+        return np.arange(size, dtype=float)
+    if kind == "descending":
+        return np.arange(size, 0, -1, dtype=float)
+    if kind == "few":
+        return rng.integers(0, 3, size).astype(float)
+    if kind == "tied":
+        return np.full(size, 0.25)
+    if kind == "periodic":
+        scores = 1.0 + rng.random(size)
+        stride = size // (64 * n)
+        scores[::stride] = rng.random(len(scores[::stride]))
+        return scores
+    if kind == "nan-runs":
+        scores = rng.random(size)
+        for start in rng.integers(0, size, 6):
+            scores[start : start + int(rng.integers(1, size // 4))] = nan
+        scores[np.argsort(-np.nan_to_num(scores, nan=-1.0))[:n]] = nan  # NaN on the best items too
+        return scores
+    if kind == "inf-zero":
+        # tied negatives below 2 n signed zeros, so the n-th best is a zero; n // 2 inf above them
+        scores = -np.round(rng.random(size), 3)
+        scores[rng.choice(size, 2 * n, replace=False)] = rng.choice([-0.0, 0.0], 2 * n)
+        scores[rng.integers(0, size, n // 2)] = inf
+        scores[rng.integers(0, size, 3 * n)] = -inf
+        scores[rng.integers(0, size, 2)] = nan
+        return scores
+    raise ValueError(kind)
+
+
+CATALOGUE_KINDS = ["random", "ascending", "descending", "few", "tied", "periodic", "nan-runs", "inf-zero"]
+
+
+@pytest.mark.parametrize("kind", CATALOGUE_KINDS)
+@pytest.mark.parametrize("n", [1, 5, 10, 100])
+def test_top_n_unseen_on_a_sampled_cutoff_matches_stable_argsort(kind, n):
+    # at 128 n items or more the cutoff is bounded on every s-th key, s >= 2;
+    # the history goes in as an index list (unsorted, as int32) and as a mask
+    rng = np.random.default_rng([81, n, CATALOGUE_KINDS.index(kind)])
+    for size in rng.integers(max(2_000, 128 * n), 20_001, 3).tolist():
+        scores = catalogue_scores(kind, size, n, rng)
+        seen = rng.choice(size, int(rng.integers(0, 200)), replace=False)
+        seen = np.concatenate([seen, rng.integers(0, 2 * n, 3)])  # and some of the first items, repeated
+        mask = np.zeros(size, dtype=bool)
+        mask[seen] = True
+        want = argsort_top_n_oracle(scores, seen, n).tolist()
+        assert len(want) == n
+        assert top_n_unseen(scores, seen.astype(np.int32), n).tolist() == want
+        assert top_n_unseen(scores, mask, n).tolist() == want
+
+
+@pytest.mark.parametrize("n", [1, 5, 10, 100])
+def test_top_n_unseen_with_fewer_than_n_eligible_in_the_sample(n):
+    # the history covers every sampled item but n - 1, so the sample's n-th key is NaN
+    rng = np.random.default_rng([82, n])
+    size = 16_000
+    stride = size // (64 * n)
+    sampled = np.arange(0, size, stride)
+    seen = np.setdiff1d(sampled, rng.choice(sampled, n - 1, replace=False))
+    mask = np.zeros(size, dtype=bool)
+    mask[seen] = True
+    for kind in ("random", "few", "periodic", "inf-zero"):
+        scores = catalogue_scores(kind, size, n, rng)
+        want = argsort_top_n_oracle(scores, seen, n).tolist()
+        assert top_n_unseen(scores, seen, n).tolist() == want
+        assert top_n_unseen(scores, mask, n).tolist() == want
+
+
+def test_top_n_unseen_partitions_no_whole_untied_catalogue(monkeypatch):
+    partitioned = []
+    partition = np.partition
+
+    def recording(a, kth, *args, **kwargs):
+        partitioned.append(len(a))
+        return partition(a, kth, *args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", recording)
+    rng = np.random.default_rng(83)
+    scores, seen = rng.random(16_000), rng.choice(16_000, 40, replace=False)
+    for n in (1, 5, 10, 100):
+        assert top_n_unseen(scores, seen, n).tolist() == argsort_top_n_oracle(scores, seen, n).tolist()
+    assert partitioned and max(partitioned) < 16_000
+
+
 def test_precision_rejects_cutoff_below_one():
     for k in (0, -2):
         with pytest.raises(ValueError, match="k must be >= 1"):
