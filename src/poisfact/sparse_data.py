@@ -162,12 +162,12 @@ class SparseInteractions:
     """A user-item count matrix stored once, row-sparse, with views derived from it.
 
     Within each row the indices are strictly increasing, and duplicate (u, i)
-    pairs from the input are merged by summation before storage. The stored
-    arrays are read-only, so the object is immutable and safe to read from
-    any number of threads. Derived from ``csr`` on first use, once, and
-    read-only too: ``user_rows``, each entry's user, which training reads
-    with ``csr.indices``, and the column view ``csc``, which only the
-    benchmark's ingest check reads.
+    pairs from the input are merged before storage, their counts summed left
+    to right in input order. The stored arrays are read-only, so the object
+    is immutable and safe to read from any number of threads. Derived from
+    ``csr`` on first use, once, and read-only too: ``user_rows``, each
+    entry's user, which training reads with ``csr.indices``, and the column
+    view ``csc``, which only the benchmark's ingest check reads.
 
     Attributes
     ----------
@@ -192,9 +192,11 @@ class SparseInteractions:
     ) -> "SparseInteractions":
         """Build from parallel index/count arrays with explicit dimensions.
 
-        Duplicate (u, i) pairs are summed. Dimensions may exceed the largest
-        index present, which leaves trailing empty rows or columns; an empty
-        entry list yields an all-zero matrix of the given shape. Raises
+        Duplicate (u, i) pairs are summed left to right in input order: the
+        entries are grouped by two counting passes, by item and then by user,
+        with no sort. Dimensions may exceed the largest index present, which
+        leaves trailing empty rows or columns; an empty entry list yields an
+        all-zero matrix of the given shape. Raises
         ValueError on unequal lengths, a count that is not positive and
         finite, an index out of range, or duplicates whose sum overflows.
         """
@@ -208,9 +210,18 @@ class SparseInteractions:
                 raise ValueError("counts must be positive and finite")
             if users.min() < 0 or users.max() >= m or items.min() < 0 or items.max() >= n:
                 raise ValueError("entry indices out of range for the given dimensions")
-        csr = sp.coo_matrix((counts, (users, items)), shape=(m, n)).tocsr()
+        # Two stable counting passes: group by item (the duplicate sum is left
+        # for later), then by user, visiting items in order. Each row's items
+        # come out ascending, each pair's duplicates side by side in input
+        # order, and scipy marks the result sorted, so sum_duplicates adds
+        # them left to right without a sort.
+        coo = sp.coo_matrix((counts, (users, items)), shape=(m, n))
+        coo.has_canonical_format = True
+        csc = coo.tocsc()
+        del coo
+        csr = csc.tocsr()
+        del csc
         csr.sum_duplicates()
-        csr.sort_indices()
         finite = np.isfinite(csr.data)
         if not finite.all():
             j = int(np.argmin(finite))  # the first merged entry that overflowed
@@ -520,8 +531,8 @@ def build_interactions(triplets: Triplets) -> tuple[SparseInteractions, IdMap]:
     """Build the count matrix and the id map of parsed triplets.
 
     Ids keep the parser's first-appearance order. Duplicate (user, item)
-    pairs are merged by summing their counts; a sum that overflows float64
-    is a DataError naming the pair.
+    pairs are merged by summing their counts left to right in input (file)
+    order; a sum that overflows float64 is a DataError naming the pair.
     """
     if not len(triplets):
         raise DataError("empty dataset: no triplets to build from")

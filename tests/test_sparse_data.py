@@ -258,6 +258,110 @@ def test_from_entries_validates():
     assert (empty.m, empty.n, empty.nnz) == (3, 4, 0)
 
 
+def scipy_build(users, items, counts, m, n):
+    """The sorting build: scipy's COO to CSR conversion, its duplicate sum and a per-row sort."""
+    csr = sp.coo_matrix((counts, (users, items)), shape=(m, n)).tocsr()
+    csr.sum_duplicates()
+    csr.sort_indices()
+    return csr
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        got_array, want_array = getattr(got, name), getattr(want, name)
+        assert got_array.dtype == want_array.dtype
+        assert np.array_equal(got_array, want_array)
+
+
+def csr_order_entries(rng, m, n, density):
+    users, items = np.nonzero(rng.random((m, n)) < density)
+    return users, items, rng.integers(1, 9, len(users)).astype(float)
+
+
+def build_cases():
+    """(label, users, items, counts, m, n) inputs with integer counts, in and out of CSR order."""
+    rng = np.random.default_rng(17)
+    users, items, counts = csr_order_entries(rng, 30, 20, 0.3)
+    twice = np.repeat(np.arange(len(users)), 1 + (rng.random(len(users)) < 0.3))  # adjacent duplicates
+    shuffled = rng.permutation(len(users))
+    coarse = rng.integers(0, 6, 400), rng.integers(0, 5, 400), rng.integers(1, 4, 400).astype(float)
+    return [
+        ("csr order", users, items, counts, 30, 20),
+        ("csr order, adjacent duplicates", users[twice], items[twice], counts[twice], 30, 20),
+        ("shuffled", users[shuffled], items[shuffled], counts[shuffled], 30, 20),
+        ("reversed", users[::-1], items[::-1], counts[::-1], 30, 20),
+        ("shuffled duplicates", *coarse, 6, 5),
+        ("empty", [], [], [], 3, 4),
+        ("one entry", [2], [1], [5.0], 3, 4),
+        ("trailing empty rows and columns, csr order", users, items, counts, 45, 33),
+        ("trailing empty rows and columns, shuffled", users[shuffled], items[shuffled], counts[shuffled], 45, 33),
+    ]
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("case", build_cases(), ids=lambda case: case[0])
+def test_build_equals_the_sorting_build_on_integer_counts(case, index_dtype):
+    _, users, items, counts, m, n = case
+    users, items = np.asarray(users, index_dtype), np.asarray(items, index_dtype)
+    counts = np.asarray(counts, np.float64)
+    data = SparseInteractions.from_entries(users, items, counts, m, n)
+    assert_same_csr(data.csr, scipy_build(users.astype(np.int64), items.astype(np.int64), counts, m, n))
+    assert all(not array.flags.writeable for array in (data.csr.indptr, data.csr.indices, data.csr.data))
+
+
+def test_build_sums_long_rows_in_input_order():
+    # rows of more than 16 entries are where a per-row sort stops being stable
+    rng = np.random.default_rng(23)
+    values = np.array([0.1, 0.2, 0.3, 0.7, 0.8, 1.6, 1.8, 2.0, 2.5])
+    for width in (17, 20, 40):
+        users = np.repeat(np.arange(60), width)
+        items = rng.integers(0, 8, len(users))
+        counts = rng.choice(values, len(users))
+        order = rng.permutation(len(users))  # rows interleaved; the sums follow this input order
+        users, items, counts = users[order], items[order], counts[order]
+        data = SparseInteractions.from_entries(users, items, counts, 60, 8)
+        expected = merge_oracle(zip(users.tolist(), items.tolist(), counts.tolist()))
+        got = materialize(data)
+        assert got.keys() == expected.keys()
+        assert all(got[pair].hex() == expected[pair].hex() for pair in expected)  # bit for bit
+
+
+def test_build_interactions_sums_a_long_row_in_file_order():
+    items = [7, 7, 4, 8, 1, 3, 6, 7, 8, 5, 3, 4, 3, 2, 3, 4, 5, 7, 9, 0]
+    counts = [4, 3, 2, 3, 3, 1.8, 2, 2, 3, 3, 0.8, 3, 2, 2, 1.6, 4, 2, 2, 4, 2]
+    text = "".join(f"u,i{item},{count}\n" for item, count in zip(items, counts))
+    data, id_map = build_interactions(parse_triplets(io.StringIO(text)))
+    assert materialize(data)[(0, id_map.item_index("i3"))] == 1.8 + 0.8 + 2.0 + 1.6 == 6.199999999999999
+
+
+def test_build_sorts_no_row(monkeypatch):
+    def no_sort(matrix):
+        assert matrix.has_sorted_indices, "sorted the indices of a row"
+
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        monkeypatch.setattr(cls, "sort_indices", no_sort)
+    rng = np.random.default_rng(29)
+    users, items = rng.integers(0, 10, 500), rng.integers(0, 12, 500)
+    counts = rng.integers(1, 4, 500).astype(float)
+    data = SparseInteractions.from_entries(users, items, counts, 10, 12)
+    assert data.nnz < 500  # duplicates were merged
+    assert data.csr.has_canonical_format
+
+
+def test_build_owns_its_arrays():
+    rng = np.random.default_rng(37)
+    users, items, counts = csr_order_entries(rng, 20, 30, 0.3)
+    order = rng.permutation(len(users))
+    users, items, counts = users[order], items[order], counts[order]
+    data = SparseInteractions.from_entries(users, items, counts, 20, 30)
+    before = materialize(data)
+    for column in (users, items, counts):
+        column[:] = column[::-1]
+    counts[:] = 99.0
+    assert materialize(data) == before
+
+
 def test_row_entries_equals_scipy_row_indexing():
     rng = np.random.default_rng(40)
     dense = (rng.random((30, 20)) < 0.3) * rng.integers(1, 6, size=(30, 20)).astype(float)

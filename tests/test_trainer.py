@@ -345,11 +345,12 @@ def test_train_builds_each_row_index_once(monkeypatch, solver):
     def refuse(matrix, copy=False):
         raise AssertionError("built a column view")
 
+    # built before the guards: from_entries may group entries through a column view
+    data = random_data(np.random.default_rng(61), m=40, n=30)
     monkeypatch.setattr(sparse_data, "row_entries", counting)
     # the item halves read the CSR's transpose: no item-major copy, either way round
     monkeypatch.setattr(sp.csr_matrix, "tocsc", refuse)
     monkeypatch.setattr(sp.csc_matrix, "tocsr", refuse)
-    data = random_data(np.random.default_rng(61), m=40, n=30)
     split = split_train_test(data, 0.2, 1, seed=3)
     assert not {"user_rows", "csc"} & vars(data).keys()  # split only
     built.clear()
